@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"dynasore/internal/cluster"
 	"dynasore/internal/experiments"
 	"dynasore/internal/trace"
 	"dynasore/pkg/dynasore"
@@ -229,9 +228,9 @@ const clientConcurrency = 16
 
 // clientRTTDelay is the one-way propagation delay the latency proxy adds
 // between client and broker, emulating an intra-datacenter network path.
-// On loopback the whole cluster shares the local CPU, so without it both
-// clients measure encode/decode cost rather than the effect of request
-// pipelining — the thing these benchmarks exist to compare.
+// On loopback the whole cluster shares the local CPU, so without it the
+// benchmarks measure encode/decode cost rather than the effect of request
+// pipelining and of the direct-read hop they exist to show.
 const clientRTTDelay = 500 * time.Microsecond
 
 // latencyProxy forwards TCP bytes to backendAddr, delivering each chunk
@@ -360,27 +359,10 @@ func benchConcurrentReads(b *testing.B, readOne func(user uint32) error) {
 	}
 }
 
-// BenchmarkClientSerializedV1 is the baseline: 16 workers sharing the
-// legacy protocol-v1 client, whose mutex serializes one request per
-// connection at a time — every operation pays the full network round trip
-// alone.
-func BenchmarkClientSerializedV1(b *testing.B) {
-	e := benchClientCluster(b)
-	c, err := cluster.Dial(latencyProxy(b, e.Addr()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	benchConcurrentReads(b, func(user uint32) error {
-		_, err := c.Read([]uint32{user})
-		return err
-	})
-}
-
-// BenchmarkClientPipelined is the same workload through the public
-// pkg/dynasore client: protocol v2 multiplexes the 16 workers' requests
+// BenchmarkClientPipelined has 16 workers read through the public
+// pkg/dynasore client: per-request IDs multiplex their requests
 // concurrently over a small connection pool, overlapping their round
-// trips, so throughput should be well over 2x the serialized baseline.
+// trips instead of paying each one alone.
 func BenchmarkClientPipelined(b *testing.B) {
 	e := benchClientCluster(b)
 	ctx := context.Background()

@@ -1,8 +1,8 @@
 // Command dynasore-node runs one node of the live DynaSoRe cluster: either
 // a cache server holding views in memory, or a broker executing the
 // Read/Write API against a set of cache servers with a WAL-backed
-// persistent store. Both roles serve wire protocol v1 and the multiplexed
-// v2 of pkg/dynasore. Brokers drive replica placement with the shared
+// persistent store. Both roles speak the cluster's one multiplexed wire
+// protocol, the one pkg/dynasore clients use. Brokers drive replica placement with the shared
 // DynaSoRe policy engine over the configured cluster topology.
 //
 // Usage:

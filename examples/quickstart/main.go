@@ -1,7 +1,7 @@
 // Quickstart: the public pkg/dynasore API in ~60 lines. Open an in-process
 // DynaSoRe cluster (the Engine backend), publish and read feeds through the
 // paper's Read(u, L)/Write(u) interface (§3.1), then connect a network
-// Client speaking the multiplexed wire protocol v2 to the same broker —
+// Client speaking the cluster's multiplexed wire protocol to the same broker —
 // both backends behind the one Store interface.
 //
 // For the paper's simulation experiments (traffic vs. static placements),
@@ -52,8 +52,8 @@ func run() error {
 	fmt.Println("feed read through the in-process Engine:")
 	printFeed([]uint32{1, 2, 3}, views)
 
-	// The same cluster over TCP: Dial negotiates protocol v2, so many
-	// requests multiplex concurrently over each pooled connection.
+	// The same cluster over TCP: requests carry IDs, so many of them
+	// multiplex concurrently over each pooled connection.
 	client, err := dynasore.Dial(ctx, engine.Addr())
 	if err != nil {
 		return err

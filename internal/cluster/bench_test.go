@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 	"testing"
+
+	"dynasore/internal/telemetry"
 )
 
 // benchClusterSetup starts 3 cache servers and a broker for throughput
 // benchmarks over real TCP on localhost.
-func benchClusterSetup(b *testing.B) *Client {
+func benchClusterSetup(b *testing.B) testClient {
 	b.Helper()
 	var addrs []string
 	for i := 0; i < 3; i++ {
@@ -26,12 +28,7 @@ func benchClusterSetup(b *testing.B) *Client {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { br.Close() })
-	c, err := Dial(br.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	return c
+	return dialTest(b, br.Addr())
 }
 
 // benchServer starts one cache server seeded with views, bypassing the
@@ -65,7 +62,7 @@ func BenchmarkServerParallelGet(b *testing.B) {
 		for pb.Next() {
 			binary.LittleEndian.PutUint32(body, u%users)
 			u += 13
-			if rt, _ := s.handle(2, opGetView, body); rt != respView {
+			if rt, _ := s.handle(telemetry.TraceContext{}, opGetView, body); rt != respView {
 				bad.Add(1)
 			}
 		}
@@ -81,7 +78,7 @@ func BenchmarkServerParallelGet(b *testing.B) {
 func BenchmarkServerParallelMixed(b *testing.B) {
 	const users = 4096
 	s := benchServer(b, users)
-	put := encodeView(binary.LittleEndian.AppendUint32(nil, 0), View{Version: 2, Events: [][]byte{make([]byte, 140)}})
+	put := appendPutMeta(encodeView(binary.LittleEndian.AppendUint32(nil, 0), View{Version: 2, Events: [][]byte{make([]byte, 140)}}), 1, 0)
 	var bad atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -93,13 +90,13 @@ func BenchmarkServerParallelMixed(b *testing.B) {
 			u += 13
 			if u%10 == 0 {
 				binary.LittleEndian.PutUint32(putBody[:4], user)
-				if rt, _ := s.handle(2, opPutView, putBody); rt != respOK {
+				if rt, _ := s.handle(telemetry.TraceContext{}, opPutView, putBody); rt != respOK {
 					bad.Add(1)
 				}
 				continue
 			}
 			binary.LittleEndian.PutUint32(get, user)
-			if rt, _ := s.handle(2, opGetView, get); rt != respView {
+			if rt, _ := s.handle(telemetry.TraceContext{}, opGetView, get); rt != respView {
 				bad.Add(1)
 			}
 		}

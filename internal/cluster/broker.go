@@ -1124,7 +1124,7 @@ func (b *Broker) writeTraced(user uint32, payload []byte, sp *telemetry.Span) (u
 			failed = append(failed, idx)
 			continue
 		}
-		if err := conn.putViewTraced(user, view, t.view.Epoch, pv, sp.Context()); err != nil {
+		if err := conn.putView(user, view, t.view.Epoch, pv, sp.Context()); err != nil {
 			errs = append(errs, fmt.Errorf("update replica on %s: %w", t.label(idx), err))
 			failed = append(failed, idx)
 		}
@@ -1319,7 +1319,7 @@ func (b *Broker) readdReplica(user uint32, idx int, v View) bool {
 	if conn == nil {
 		return false
 	}
-	if err := conn.putViewMeta(user, v, t.view.Epoch, b.pvOf(user)); err != nil {
+	if err := conn.putView(user, v, t.view.Epoch, b.pvOf(user), telemetry.TraceContext{}); err != nil {
 		return false
 	}
 	now := time.Now().Unix()
@@ -1335,7 +1335,7 @@ func (b *Broker) readdReplica(user uint32, idx int, v View) bool {
 	t.load[idx].Add(1)
 	pv := meta.pv
 	sh.mu.Unlock()
-	if err := conn.putViewMeta(user, b.currentView(user), t.view.Epoch, pv); err != nil {
+	if err := conn.putView(user, b.currentView(user), t.view.Epoch, pv, telemetry.TraceContext{}); err != nil {
 		b.removeReplica(user, idx)
 		return false
 	}
@@ -1380,7 +1380,7 @@ func (b *Broker) readReplica(t *serverTable, user uint32, idx int, tc telemetry.
 	if conn == nil {
 		return View{}, fmt.Errorf("no connection to %s", t.label(idx))
 	}
-	v, ok, err := conn.getViewTraced(user, tc)
+	v, ok, err := conn.getView(user, tc)
 	if err != nil {
 		return View{}, err
 	}
@@ -1394,7 +1394,7 @@ func (b *Broker) readReplica(t *serverTable, user uint32, idx int, tc telemetry.
 			// lags an acknowledged write.
 			v = pv
 		}
-		if err := conn.putViewMeta(user, v, t.view.Epoch, b.pvOf(user)); err != nil {
+		if err := conn.putView(user, v, t.view.Epoch, b.pvOf(user), telemetry.TraceContext{}); err != nil {
 			return View{}, fmt.Errorf("cache fill on %s: %w", t.label(idx), err)
 		}
 	case v.Version < b.store.Version(user):
@@ -1404,7 +1404,7 @@ func (b *Broker) readReplica(t *serverTable, user uint32, idx int, tc telemetry.
 		// provable view and repair the replica in place so the staleness
 		// cannot outlive this read.
 		v = b.freshestView(t, user, b.ReplicaSet(user))
-		_ = conn.putViewMeta(user, v, t.view.Epoch, b.pvOf(user))
+		_ = conn.putView(user, v, t.view.Epoch, b.pvOf(user), telemetry.TraceContext{})
 	}
 	return v, nil
 }
@@ -1424,7 +1424,7 @@ func (b *Broker) freshestView(t *serverTable, user uint32, replicas []int) View 
 		if conn == nil {
 			continue
 		}
-		if rv, ok, err := conn.getView(user); err == nil && ok && rv.Version > v.Version {
+		if rv, ok, err := conn.getView(user, telemetry.TraceContext{}); err == nil && ok && rv.Version > v.Version {
 			v = rv
 		}
 	}
@@ -1477,10 +1477,10 @@ func (b *Broker) raiseSurvivors(t *serverTable, user uint32, survivors []int, v 
 		if conn == nil {
 			continue
 		}
-		if cv, ok, err := conn.getView(user); err == nil && ok && cv.Version >= v.Version {
+		if cv, ok, err := conn.getView(user, telemetry.TraceContext{}); err == nil && ok && cv.Version >= v.Version {
 			continue
 		}
-		_ = conn.putViewMeta(user, v, t.view.Epoch, b.pvOf(user))
+		_ = conn.putView(user, v, t.view.Epoch, b.pvOf(user), telemetry.TraceContext{})
 	}
 }
 
@@ -1582,7 +1582,7 @@ func (b *Broker) applyCreate(now int64, user uint32, d viewpolicy.Decision) {
 	// peer sync is still in flight, and the new copy must not serve an
 	// older view than the copies it joins.
 	fv := b.freshestView(t, user, existing)
-	if err := conn.putViewMeta(user, fv, t.view.Epoch, pv); err != nil {
+	if err := conn.putView(user, fv, t.view.Epoch, pv, telemetry.TraceContext{}); err != nil {
 		b.removeReplica(user, target)
 		return
 	}
@@ -1633,7 +1633,7 @@ func (b *Broker) migrateReplica(now int64, user uint32, source int, d viewpolicy
 	// are fenced at the target until they re-lease.
 	fv := b.freshestView(t, user, []int{source})
 	migrated := true
-	if conn := t.conn(target); conn == nil || conn.putViewMeta(user, fv, t.view.Epoch, pv) != nil {
+	if conn := t.conn(target); conn == nil || conn.putView(user, fv, t.view.Epoch, pv, telemetry.TraceContext{}) != nil {
 		// The replica set still names target; reads will refill it from
 		// the WAL once the server is reachable, or drop it as dead.
 		migrated = false
@@ -1717,7 +1717,7 @@ func (b *Broker) removeReplicaQuiet(user uint32, idx int) bool {
 		// The dropped copy can be the only one carrying a write that was
 		// acknowledged through a peer broker and has not reached this
 		// broker's store yet — raise the survivors to it before deleting.
-		if dv, ok, err := conn.getView(user); err == nil && ok {
+		if dv, ok, err := conn.getView(user, telemetry.TraceContext{}); err == nil && ok {
 			b.raiseSurvivors(t, user, survivors, dv)
 		}
 		_ = conn.deleteView(user)
@@ -2007,12 +2007,12 @@ func (b *Broker) acceptLoop() {
 	}
 }
 
-func (b *Broker) handle(version int, msgType uint8, body []byte) (uint8, []byte) {
+func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (uint8, []byte) {
 	switch msgType {
 	case opRead:
-		return b.handleRead(version, body)
+		return b.handleRead(tc, body)
 	case opWrite:
-		return b.handleWrite(version, body)
+		return b.handleWrite(tc, body)
 	case opBrokerStats:
 		start := time.Now()
 		resp := appendBrokerStats(nil, b.Stats())
@@ -2065,12 +2065,6 @@ func (b *Broker) handle(version int, msgType uint8, body []byte) (uint8, []byte)
 		if err != nil {
 			return respError, errorBody("bad sync write")
 		}
-		return b.applySyncWrite(user, seq, at, payload, telemetry.TraceContext{})
-	case opSyncWriteTraced:
-		user, seq, at, payload, tc, err := decodeSyncWriteTraced(body)
-		if err != nil {
-			return respError, errorBody("bad sync write")
-		}
 		return b.applySyncWrite(user, seq, at, payload, tc)
 	case opMembershipGet, opMembershipPull:
 		return respMembership, encodeMembershipInfo(b.Membership())
@@ -2101,22 +2095,15 @@ func (b *Broker) handle(version int, msgType uint8, body []byte) (uint8, []byte)
 	}
 }
 
-// handleRead serves one opRead request: strip the v3 trace suffix, start
-// the broker's span for sampled requests, fetch the views, and record
-// the op latency. The span's decode/execute/encode stages plus the cache
-// servers' child spans give a sampled read its full breakdown.
-func (b *Broker) handleRead(version int, body []byte) (uint8, []byte) {
+// handleRead serves one opRead request: start the broker's span for
+// sampled requests, fetch the views, and record the op latency. The span's
+// decode/execute/encode stages plus the cache servers' child spans give a
+// sampled read its full breakdown.
+func (b *Broker) handleRead(tc telemetry.TraceContext, body []byte) (uint8, []byte) {
 	start := time.Now()
-	var tc telemetry.TraceContext
-	if version >= protoV3 {
-		var err error
-		if body, tc, err = splitTraceSuffix(body); err != nil {
-			return respError, errorBody("bad read request: " + err.Error())
-		}
-	}
 	sp := b.tel.StartSpan(tc, "broker.read")
 	defer sp.End()
-	targets, err := decodeReadRequest(version, body)
+	targets, err := decodeReadRequest(body)
 	if err != nil {
 		return respError, errorBody("bad read request: " + err.Error())
 	}
@@ -2127,9 +2114,8 @@ func (b *Broker) handleRead(version int, body []byte) (uint8, []byte) {
 	}
 	sp.Stage("execute")
 	// The epoch trailer lets clients notice a membership change
-	// without polling; pre-membership clients never read past the
-	// views.
-	resp := appendEpochTrailer(encodeReadResponse(version, views), b.Epoch())
+	// without polling.
+	resp := appendEpochTrailer(encodeReadResponse(views), b.Epoch())
 	sp.Stage("encode")
 	b.readHist.Observe(time.Since(start))
 	return respRead, resp
@@ -2137,15 +2123,8 @@ func (b *Broker) handleRead(version int, body []byte) (uint8, []byte) {
 
 // handleWrite serves one opWrite request; the span's stage breakdown
 // (decode, wal, replicate, fanout, encode) comes partly from writeTraced.
-func (b *Broker) handleWrite(version int, body []byte) (uint8, []byte) {
+func (b *Broker) handleWrite(tc telemetry.TraceContext, body []byte) (uint8, []byte) {
 	start := time.Now()
-	var tc telemetry.TraceContext
-	if version >= protoV3 {
-		var err error
-		if body, tc, err = splitTraceSuffix(body); err != nil {
-			return respError, errorBody("bad write request: " + err.Error())
-		}
-	}
 	if len(body) < 4 {
 		return respError, errorBody("short write request")
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -23,8 +24,37 @@ func userHomedOn(t *testing.T, b *Broker, idx int) uint32 {
 	return 0
 }
 
+// testClient gives the network Client the ctx-free Read/Write/Stats
+// shape the in-package tests are written against; every call runs under
+// context.Background().
+type testClient struct{ *Client }
+
+// dialTest connects a testClient (one connection) to addr and closes it
+// when the test ends.
+func dialTest(tb testing.TB, addr string) testClient {
+	tb.Helper()
+	c, err := Dial(context.Background(), addr, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	return testClient{c}
+}
+
+func (c testClient) Read(targets []uint32) ([]View, error) {
+	return c.Client.Read(context.Background(), targets)
+}
+
+func (c testClient) Write(user uint32, payload []byte) (uint64, error) {
+	return c.Client.Write(context.Background(), user, payload)
+}
+
+func (c testClient) Stats() (BrokerStats, error) {
+	return c.Client.Stats(context.Background())
+}
+
 // testCluster spins up n cache servers and one broker on ephemeral ports.
-func testCluster(t *testing.T, n int, tweak func(*BrokerConfig)) (*Broker, []*Server, *Client) {
+func testCluster(t *testing.T, n int, tweak func(*BrokerConfig)) (*Broker, []*Server, testClient) {
 	t.Helper()
 	var servers []*Server
 	var addrs []string
@@ -51,12 +81,7 @@ func testCluster(t *testing.T, n int, tweak func(*BrokerConfig)) (*Broker, []*Se
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	c, err := Dial(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return b, servers, c
+	return b, servers, dialTest(t, b.Addr())
 }
 
 func TestWriteThenRead(t *testing.T) {
@@ -80,6 +105,13 @@ func TestWriteThenRead(t *testing.T) {
 	}
 	if !bytes.Equal(v.Events[0], []byte("first post")) || !bytes.Equal(v.Events[1], []byte("second post")) {
 		t.Errorf("events out of order: %q, %q", v.Events[0], v.Events[1])
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Reads != 1 || st.Writes != 2 {
+		t.Errorf("stats = %+v, want 1 read and 2 writes", st)
 	}
 }
 
@@ -325,12 +357,13 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(b.Addr())
+			cl, err := Dial(context.Background(), b.Addr(), 1)
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer c.Close()
+			defer cl.Close()
+			c := testClient{cl}
 			for i := 0; i < opsEach; i++ {
 				u := uint32(w*opsEach + i)
 				if _, err := c.Write(u, []byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {

@@ -26,7 +26,7 @@ type DirectReader struct {
 	mu     sync.Mutex
 	leases map[uint32]*leaseEntry
 	lru    *list.List // of uint32 user IDs, front = most recently used
-	conns  map[string]*ClientV2
+	conns  map[string]*Client
 	// deadUntil backs off redials of an unreachable server, so a burst of
 	// direct reads against a crashed replica costs one dial per cooldown,
 	// not one per read.
@@ -83,7 +83,7 @@ func NewDirectReader(maxLeases int) *DirectReader {
 		max:        maxLeases,
 		leases:     make(map[uint32]*leaseEntry),
 		lru:        list.New(),
-		conns:      make(map[string]*ClientV2),
+		conns:      make(map[string]*Client),
 		deadUntil:  make(map[string]time.Time),
 		ctrHit:     tel.Counter(ladder, ladderHelp, "stage", "hit"),
 		ctrNoLease: tel.Counter(ladder, ladderHelp, "stage", "no_lease"),
@@ -239,7 +239,7 @@ func (d *DirectReader) TryRead(ctx context.Context, user uint32) (View, bool) {
 // conn returns (dialing if needed) the multiplexed connection to a cache
 // server, or nil when the server is in dial cooldown or unreachable. The
 // dial happens outside the lock; a racing dial's loser is closed.
-func (d *DirectReader) conn(ctx context.Context, addr string) *ClientV2 {
+func (d *DirectReader) conn(ctx context.Context, addr string) *Client {
 	d.mu.Lock()
 	c := d.conns[addr]
 	if c != nil || d.closed || time.Now().Before(d.deadUntil[addr]) {
@@ -248,7 +248,7 @@ func (d *DirectReader) conn(ctx context.Context, addr string) *ClientV2 {
 	}
 	d.mu.Unlock()
 
-	nc, err := DialV2(ctx, addr, DefaultPoolSize)
+	nc, err := Dial(ctx, addr, DefaultPoolSize)
 
 	d.mu.Lock()
 	if err != nil {
@@ -282,7 +282,7 @@ func (d *DirectReader) Close() error {
 	}
 	d.closed = true
 	conns := d.conns
-	d.conns = make(map[string]*ClientV2)
+	d.conns = make(map[string]*Client)
 	d.leases = make(map[uint32]*leaseEntry)
 	d.lru.Init()
 	d.mu.Unlock()

@@ -135,7 +135,7 @@ func TestElasticMembershipAcceptance(t *testing.T) {
 	// Grow 2 -> 4: add both servers through a FOLLOWER broker, exercising
 	// the leader-forwarding path of the admin protocol.
 	added := []*Server{newCacheServer(), newCacheServer()}
-	follower, err := DialV2(ctx, brokers[1].Addr(), 1)
+	follower, err := Dial(ctx, brokers[1].Addr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,15 @@ import (
 	"dynasore/internal/telemetry"
 )
 
-// ClientV2 talks the paper's API to a broker over wire protocol v2. Unlike
-// the serialized v1 Client, every request carries an ID, so many requests
-// are in flight concurrently on each connection: a writer tags the frame, a
-// per-connection reader goroutine demuxes responses to the waiting callers.
-// A small pool of such connections spreads load further. All methods are
-// safe for concurrent use and honor context cancellation.
-type ClientV2 struct {
+// Client talks the paper's API (§3.1) to a broker: Read(u, L) fetches the
+// views of the users in L; Write(u) publishes a new event to u's view.
+// Every request carries an ID, so many requests are in flight concurrently
+// on each connection: a writer tags the frame, a per-connection reader
+// goroutine demuxes responses to the waiting callers. A small pool of such
+// connections spreads load further. All methods are safe for concurrent
+// use and honor context cancellation; a request whose context is already
+// done is never sent.
+type Client struct {
 	addr        string
 	dialTimeout time.Duration
 	conns       []*muxConn
@@ -37,19 +39,19 @@ type ClientV2 struct {
 	writeHist *telemetry.Histogram
 }
 
-// DefaultPoolSize is the connection pool size used when DialV2 gets
+// DefaultPoolSize is the connection pool size used when Dial gets
 // poolSize <= 0.
 const DefaultPoolSize = 2
 
-// DialV2 connects to a broker and negotiates protocol v2 on poolSize
-// multiplexed connections (DefaultPoolSize if <= 0). The first connection
-// is established eagerly so handshake failures surface immediately; the
-// rest are dialed lazily on first use.
-func DialV2(ctx context.Context, addr string, poolSize int) (*ClientV2, error) {
+// Dial connects to a broker (or, for direct reads, a cache server) with
+// poolSize multiplexed connections (DefaultPoolSize if <= 0). The first
+// connection is established eagerly so hello failures surface
+// immediately; the rest are dialed lazily on first use.
+func Dial(ctx context.Context, addr string, poolSize int) (*Client, error) {
 	if poolSize <= 0 {
 		poolSize = DefaultPoolSize
 	}
-	c := &ClientV2{addr: addr, dialTimeout: 10 * time.Second}
+	c := &Client{addr: addr, dialTimeout: 10 * time.Second}
 	c.setTelemetry(telemetry.Default())
 	for i := 0; i < poolSize; i++ {
 		c.conns = append(c.conns, &muxConn{client: c})
@@ -63,7 +65,7 @@ func DialV2(ctx context.Context, addr string, poolSize int) (*ClientV2, error) {
 // setTelemetry redirects the client's sampling and latency instruments
 // to an isolated Node — used by tests that must not share the process
 // default.
-func (c *ClientV2) setTelemetry(n *telemetry.Node) {
+func (c *Client) setTelemetry(n *telemetry.Node) {
 	c.tel = n
 	c.readHist = n.Histogram("dynasore_client_op_seconds", "Client-observed end-to-end op latency.", "op", "read")
 	c.writeHist = n.Histogram("dynasore_client_op_seconds", "Client-observed end-to-end op latency.", "op", "write")
@@ -81,13 +83,12 @@ type wireResp struct {
 // request ID. A broken connection fails all pending calls and is redialed
 // transparently on the next request.
 type muxConn struct {
-	client *ClientV2
+	client *Client
 
-	//dynalint:allow lockio connect holds the lock across dial+handshake so concurrent callers dial exactly once
-	mu      sync.Mutex // guards conn, gen, version, pending
+	//dynalint:allow lockio connect holds the lock across dial+hello so concurrent callers dial exactly once
+	mu      sync.Mutex // guards conn, gen, pending
 	conn    net.Conn
 	gen     uint64 // bumped on every (re)dial, detects stale failures
-	version int    // negotiated protocol version of the live conn
 	pending map[uint64]chan wireResp
 
 	//dynalint:allow lockio the write mutex exists to keep concurrent frame writes from interleaving on the socket
@@ -95,8 +96,8 @@ type muxConn struct {
 	nextID atomic.Uint64
 }
 
-// connect establishes the connection and performs the v2 handshake. It is
-// a no-op when the connection is already live.
+// connect establishes the connection and performs the hello. It is a
+// no-op when the connection is already live.
 func (m *muxConn) connect(ctx context.Context) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -114,14 +115,12 @@ func (m *muxConn) connect(ctx context.Context) error {
 	if deadline, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(deadline)
 	}
-	version, err := clientHello(conn)
-	if err != nil {
+	if err := clientHello(conn); err != nil {
 		conn.Close()
 		return err
 	}
 	conn.SetDeadline(time.Time{})
 	m.conn = conn
-	m.version = version
 	m.gen++
 	m.pending = make(map[uint64]chan wireResp)
 	go m.readLoop(conn, m.gen)
@@ -132,7 +131,7 @@ func (m *muxConn) connect(ctx context.Context) error {
 // breaks.
 func (m *muxConn) readLoop(conn net.Conn, gen uint64) {
 	for {
-		msgType, id, body, err := readFrameV2(conn)
+		resp, err := readFrame(conn)
 		if err != nil {
 			m.fail(gen, err)
 			return
@@ -140,12 +139,12 @@ func (m *muxConn) readLoop(conn net.Conn, gen uint64) {
 		m.mu.Lock()
 		var ch chan wireResp
 		if m.gen == gen {
-			ch = m.pending[id]
-			delete(m.pending, id)
+			ch = m.pending[resp.id]
+			delete(m.pending, resp.id)
 		}
 		m.mu.Unlock()
 		if ch != nil {
-			ch <- wireResp{msgType: msgType, body: body}
+			ch <- wireResp{msgType: resp.msgType, body: resp.body}
 		}
 	}
 }
@@ -171,11 +170,15 @@ func (m *muxConn) fail(gen uint64, err error) {
 	}
 }
 
-// do performs one multiplexed round trip. A non-nil tc marks msgType as
-// one of the ops whose v3 body ends in a mandatory trace context; it is
-// appended here, once the connection's negotiated version is known, and
-// omitted entirely on v2 connections.
-func (m *muxConn) do(ctx context.Context, msgType uint8, body []byte, tc *telemetry.TraceContext) (uint8, []byte, error) {
+// do performs one multiplexed round trip carrying trace context tc. A
+// context that is already done fails the call before anything is sent:
+// once the frame is out, the select below may pick either a ready response
+// or a done context, so checking first is what keeps a cancelled Write
+// from being applied.
+func (m *muxConn) do(ctx context.Context, msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, nil, err
+	}
 	if err := m.connect(ctx); err != nil {
 		return 0, nil, err
 	}
@@ -187,15 +190,16 @@ func (m *muxConn) do(ctx context.Context, msgType uint8, body []byte, tc *teleme
 		m.mu.Unlock()
 		return 0, nil, fmt.Errorf("cluster: connection lost before send")
 	}
-	conn, gen, version := m.conn, m.gen, m.version
+	conn, gen := m.conn, m.gen
 	m.pending[id] = ch
 	m.mu.Unlock()
-	if tc != nil && version >= protoV3 {
-		body = telemetry.AppendTraceContext(body, *tc)
+	if err := ctx.Err(); err != nil {
+		m.forget(gen, id)
+		return 0, nil, err
 	}
 
 	m.wmu.Lock()
-	err := writeFrameV2(conn, msgType, id, body)
+	err := writeFrame(conn, frame{msgType: msgType, id: id, tc: tc, body: body})
 	m.wmu.Unlock()
 	if err != nil {
 		m.fail(gen, err)
@@ -232,36 +236,32 @@ func (m *muxConn) generation() uint64 {
 }
 
 // pick returns the next pool connection, round robin.
-func (c *ClientV2) pick() *muxConn {
+func (c *Client) pick() *muxConn {
 	return c.conns[c.next.Add(1)%uint64(len(c.conns))]
 }
 
-func (c *ClientV2) do(ctx context.Context, msgType uint8, body []byte) (uint8, []byte, error) {
+// do performs one untraced round trip.
+func (c *Client) do(ctx context.Context, msgType uint8, body []byte) (uint8, []byte, error) {
+	return c.doTraced(ctx, msgType, body, telemetry.TraceContext{})
+}
+
+// doTraced performs one round trip whose frame carries tc.
+func (c *Client) doTraced(ctx context.Context, msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
 	if c.closed.Load() {
 		return 0, nil, net.ErrClosed
 	}
-	return c.pick().do(ctx, msgType, body, nil)
+	return c.pick().do(ctx, msgType, body, tc)
 }
 
-// doTraced is do for the ops (opRead, opWrite) that carry the mandatory
-// v3 trace suffix.
-func (c *ClientV2) doTraced(ctx context.Context, msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
-	if c.closed.Load() {
-		return 0, nil, net.ErrClosed
-	}
-	return c.pick().do(ctx, msgType, body, &tc)
-}
-
-// Read fetches the views of every user in targets, in order. Protocol v2
-// carries a uint32 target count; requests that would not fit one frame
-// return ErrTooManyTargets.
-func (c *ClientV2) Read(ctx context.Context, targets []uint32) ([]View, error) {
+// Read fetches the views of every user in targets, in order. Requests
+// that would not fit one frame return ErrTooManyTargets.
+func (c *Client) Read(ctx context.Context, targets []uint32) ([]View, error) {
 	if len(targets) == 0 {
 		return nil, nil
 	}
 	start := time.Now()
 	sp := c.tel.StartSpan(c.tel.Sample(), "client.read")
-	body, err := encodeReadRequest(protoV2, targets)
+	body, err := encodeReadRequest(targets)
 	if err != nil {
 		return nil, err
 	}
@@ -278,14 +278,18 @@ func (c *ClientV2) Read(ctx context.Context, targets []uint32) ([]View, error) {
 	}()
 	switch respType {
 	case respRead:
-		views, rest, err := decodeReadResponse(protoV2, respBody)
+		views, rest, err := decodeReadResponse(respBody)
 		if err != nil {
 			return nil, err
 		}
 		if len(views) != len(targets) {
 			return nil, fmt.Errorf("%w: %d views for %d targets", ErrBadFrame, len(views), len(targets))
 		}
-		c.noteEpoch(decodeEpochTrailer(rest))
+		epoch, err := decodeEpochTrailer(rest)
+		if err != nil {
+			return nil, err
+		}
+		c.noteEpoch(epoch)
 		return views, nil
 	case respError:
 		return nil, asRemoteError(respBody)
@@ -295,7 +299,7 @@ func (c *ClientV2) Read(ctx context.Context, targets []uint32) ([]View, error) {
 }
 
 // Write publishes an event produced by user and returns its sequence number.
-func (c *ClientV2) Write(ctx context.Context, user uint32, payload []byte) (uint64, error) {
+func (c *Client) Write(ctx context.Context, user uint32, payload []byte) (uint64, error) {
 	start := time.Now()
 	sp := c.tel.StartSpan(c.tel.Sample(), "client.write")
 	body := binary.LittleEndian.AppendUint32(nil, user)
@@ -315,7 +319,11 @@ func (c *ClientV2) Write(ctx context.Context, user uint32, payload []byte) (uint
 		if len(respBody) < 8 {
 			return 0, ErrBadFrame
 		}
-		c.noteEpoch(decodeEpochTrailer(respBody[8:]))
+		epoch, err := decodeEpochTrailer(respBody[8:])
+		if err != nil {
+			return 0, err
+		}
+		c.noteEpoch(epoch)
 		return binary.LittleEndian.Uint64(respBody), nil
 	case respError:
 		return 0, asRemoteError(respBody)
@@ -327,7 +335,7 @@ func (c *ClientV2) Write(ctx context.Context, user uint32, payload []byte) (uint
 // Lease asks the broker for a direct-read lease on user: the replica
 // addresses plus the fencing tokens a DirectReader presents to cache
 // servers.
-func (c *ClientV2) Lease(ctx context.Context, user uint32) (Lease, error) {
+func (c *Client) Lease(ctx context.Context, user uint32) (Lease, error) {
 	body := binary.LittleEndian.AppendUint32(nil, user)
 	respType, respBody, err := c.do(ctx, opLeaseGet, body)
 	if err != nil {
@@ -351,7 +359,7 @@ func (c *ClientV2) Lease(ctx context.Context, user uint32) (Lease, error) {
 // returned status is the raw response type: respView (view is valid),
 // respStaleRoute (the lease is fenced — re-lease and fall back), or
 // respNotHere (this replica no longer holds the view — try another).
-func (c *ClientV2) directGet(ctx context.Context, user uint32, epoch, placement uint64) (View, uint8, error) {
+func (c *Client) directGet(ctx context.Context, user uint32, epoch, placement uint64) (View, uint8, error) {
 	respType, respBody, err := c.do(ctx, opDirectGet, encodeDirectGet(user, epoch, placement))
 	if err != nil {
 		return View{}, 0, err
@@ -362,7 +370,11 @@ func (c *ClientV2) directGet(ctx context.Context, user uint32, epoch, placement 
 		if err != nil {
 			return View{}, 0, err
 		}
-		c.noteEpoch(decodeEpochTrailer(rest))
+		epoch, err := decodeEpochTrailer(rest)
+		if err != nil {
+			return View{}, 0, err
+		}
+		c.noteEpoch(epoch)
 		return v, respView, nil
 	case respStaleRoute:
 		if e, _, err := decodeStaleRoute(respBody); err == nil {
@@ -380,7 +392,7 @@ func (c *ClientV2) directGet(ctx context.Context, user uint32, epoch, placement 
 
 // noteEpoch records the highest membership epoch seen in a response
 // trailer.
-func (c *ClientV2) noteEpoch(e uint64) {
+func (c *Client) noteEpoch(e uint64) {
 	for {
 		cur := c.epoch.Load()
 		if e <= cur || c.epoch.CompareAndSwap(cur, e) {
@@ -392,11 +404,11 @@ func (c *ClientV2) noteEpoch(e uint64) {
 // Epoch returns the highest membership epoch this client has observed in
 // broker responses (0 until the first read or write against an
 // elastic-membership broker).
-func (c *ClientV2) Epoch() uint64 { return c.epoch.Load() }
+func (c *Client) Epoch() uint64 { return c.epoch.Load() }
 
 // Membership fetches the broker's current membership view and per-slot
 // replica counts.
-func (c *ClientV2) Membership(ctx context.Context) (MembershipInfo, error) {
+func (c *Client) Membership(ctx context.Context) (MembershipInfo, error) {
 	respType, body, err := c.do(ctx, opMembershipGet, nil)
 	if err != nil {
 		return MembershipInfo{}, err
@@ -417,21 +429,21 @@ func (c *ClientV2) Membership(ctx context.Context) (MembershipInfo, error) {
 
 // AddServer asks the cluster to admit a new cache server (leader-forwarded
 // on the broker side) and returns the resulting membership.
-func (c *ClientV2) AddServer(ctx context.Context, info membership.ServerInfo) (MembershipInfo, error) {
+func (c *Client) AddServer(ctx context.Context, info membership.ServerInfo) (MembershipInfo, error) {
 	return c.adminOp(ctx, opServerAdd, membership.AppendServerInfo(nil, info))
 }
 
 // DrainServer starts decommissioning the cache server at addr.
-func (c *ClientV2) DrainServer(ctx context.Context, addr string) (MembershipInfo, error) {
+func (c *Client) DrainServer(ctx context.Context, addr string) (MembershipInfo, error) {
 	return c.adminOp(ctx, opServerDrain, []byte(addr))
 }
 
 // RemoveServer retires the cache server at addr from the cluster.
-func (c *ClientV2) RemoveServer(ctx context.Context, addr string) (MembershipInfo, error) {
+func (c *Client) RemoveServer(ctx context.Context, addr string) (MembershipInfo, error) {
 	return c.adminOp(ctx, opServerRemove, []byte(addr))
 }
 
-func (c *ClientV2) adminOp(ctx context.Context, op uint8, body []byte) (MembershipInfo, error) {
+func (c *Client) adminOp(ctx context.Context, op uint8, body []byte) (MembershipInfo, error) {
 	respType, respBody, err := c.do(ctx, op, body)
 	if err != nil {
 		return MembershipInfo{}, err
@@ -451,16 +463,23 @@ func (c *ClientV2) adminOp(ctx context.Context, op uint8, body []byte) (Membersh
 }
 
 // Stats fetches the broker's counters.
-func (c *ClientV2) Stats(ctx context.Context) (BrokerStats, error) {
+func (c *Client) Stats(ctx context.Context) (BrokerStats, error) {
 	respType, body, err := c.do(ctx, opBrokerStats, nil)
 	if err != nil {
 		return BrokerStats{}, err
 	}
-	return decodeBrokerStats(respType, body)
+	switch respType {
+	case respStats:
+		return decodeBrokerStats(body)
+	case respError:
+		return BrokerStats{}, asRemoteError(body)
+	default:
+		return BrokerStats{}, ErrBadFrame
+	}
 }
 
 // Close closes every pooled connection; pending requests fail.
-func (c *ClientV2) Close() error {
+func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}

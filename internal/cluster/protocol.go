@@ -6,14 +6,15 @@
 // the drop-in-for-memcache prototype the paper describes, sized to run on a
 // single machine with one process per node.
 //
-// Two wire protocol versions coexist on every listener. Version 1 frames
-// are uint32(length) | uint8(type) | body and carry one request per
-// connection at a time. Version 2 is negotiated by an opHello handshake and
-// adds a uint64 request ID to every frame, so many requests multiplex
-// concurrently over one connection; it also widens the read target count
-// from uint16 to uint32. New code should use the public pkg/dynasore
-// package, whose network client speaks version 2; the in-package Client
-// remains the serialized version-1 client for compatibility.
+// Every link — client → broker, broker → cache server, broker ↔ broker and
+// direct reader → cache server — speaks one wire protocol. A frame is
+// uint32(length) | uint8(type) | uint64(requestID) | [trace] | body, where
+// the optional 17-byte trace context is present exactly when the type
+// byte's traceFlag bit is set (only sampled requests set it). A connection
+// opens with an opHello frame carrying a magic and the protocol version;
+// after it, requests carry IDs, so many of them multiplex concurrently
+// over one connection. New code should use the public pkg/dynasore
+// package, whose network client wraps this package's Client.
 package cluster
 
 import (
@@ -31,8 +32,8 @@ import (
 	"dynasore/internal/wal"
 )
 
-// Message types of the wire protocol, shared by both versions. Values are
-// part of the wire format: append, never reorder.
+// Message types of the wire protocol. Values are part of the wire format:
+// append, never reorder, and stay below traceFlag.
 const (
 	// Broker <-> cache server.
 	opGetView uint8 = iota + 1
@@ -51,7 +52,7 @@ const (
 	respWrite
 	respStats
 	respError
-	// Protocol negotiation (v2+).
+	// Connection handshake: the first frame on every connection.
 	opHello
 	respHello
 	// Broker <-> broker placement sync (multi-broker clusters): liveness
@@ -112,37 +113,28 @@ const (
 	// write reaches its origin broker's store before the ack, so the max
 	// over live peers' answers is a floor no cache fill may go below.
 	opViewPull
-
-	// opSyncWriteTraced is opSyncWrite re-framed with an explicit payload
-	// length so a trace context can ride behind the event: the replication
-	// fan-out uses it for sampled writes (and only those), so a trace a
-	// client minted is visible on every peer broker the write touched.
-	// Peers that predate tracing reject the unknown op; the sender falls
-	// back to plain opSyncWrite and the write still replicates.
-	opSyncWriteTraced
 )
 
-// Protocol versions.
-const (
-	protoV1 = 1
-	protoV2 = 2
-	// protoV3 keeps v2's framing and widths but makes every opRead and
-	// opWrite body end in a mandatory 17-byte trace context (see
-	// internal/telemetry), zero-valued when the request is unsampled.
-	// Negotiation picks min(offered, protoV3), so a v3 client downgrades
-	// cleanly against a v2 broker and vice versa.
-	protoV3 = 3
-)
+// protoVersion is the one protocol version a hello may name; any other
+// is refused with ErrBadVersion.
+const protoVersion = 4
+
+// traceFlag in a frame's type byte means a 17-byte trace context (see
+// internal/telemetry) follows the request ID. Op codes stay below it.
+const traceFlag = 0x80
 
 const (
 	maxFrame    = 16 << 20 // 16 MiB
 	maxEventLen = 1 << 20
-	// maxInflight caps concurrently executing requests per v2 connection.
+	// maxInflight caps concurrently executing requests per connection.
 	maxInflight = 64
+	// frameHeaderLen is uint32(length) | uint8(type) | uint64(requestID);
+	// the length counts everything after its own four bytes.
+	frameHeaderLen = 13
 )
 
-// helloMagic opens every opHello body, so a v2 handshake is never confused
-// with a stray v1 request.
+// helloMagic opens every opHello body, so a connection from something
+// that is not a DynaSoRe peer is refused at once.
 var helloMagic = [4]byte{'D', 'S', 'R', 'E'}
 
 // Errors returned by protocol helpers and clients.
@@ -154,166 +146,126 @@ var (
 	ErrBadVersion     = errors.New("cluster: unsupported protocol version")
 )
 
-// writeFrame sends one v1 framed message.
-func writeFrame(w io.Writer, msgType uint8, body []byte) error {
-	if len(body)+1 > maxFrame {
+// frame is one message on the wire. tc is the zero context unless the
+// request is sampled.
+type frame struct {
+	msgType uint8
+	id      uint64
+	tc      telemetry.TraceContext
+	body    []byte
+}
+
+// writeFrame sends one frame. A sampled trace context sets traceFlag and
+// rides behind the request ID; an unsampled one costs no bytes. Header and
+// body go out in one write (writev on a TCP connection).
+func writeFrame(w io.Writer, f frame) error {
+	if f.msgType&traceFlag != 0 {
+		return ErrBadFrame
+	}
+	var hdr [frameHeaderLen + telemetry.TraceContextLen]byte
+	n, msgType := frameHeaderLen, f.msgType
+	if f.tc.Sampled() {
+		telemetry.AppendTraceContext(hdr[frameHeaderLen:frameHeaderLen], f.tc)
+		n, msgType = len(hdr), msgType|traceFlag
+	}
+	size := n - 4 + len(f.body)
+	if size > maxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)+1))
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(size))
 	hdr[4] = msgType
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+	binary.LittleEndian.PutUint64(hdr[5:13], f.id)
+	bufs := net.Buffers{hdr[:n], f.body}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
-// readFrame receives one v1 framed message.
-func readFrame(r io.Reader) (uint8, []byte, error) {
+// readFrame receives one frame. A length outside [9, maxFrame] is
+// ErrFrameTooLarge; a traceFlag frame too short for its context, or whose
+// context is not sampled, is ErrBadFrame. The body aliases a buffer
+// allocated per frame, so retaining it is safe.
+func readFrame(r io.Reader) (frame, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+		return frame{}, err
 	}
 	size := binary.LittleEndian.Uint32(hdr[0:4])
-	if size == 0 || size > maxFrame {
-		return 0, nil, ErrFrameTooLarge
+	if size < frameHeaderLen-4 || size > maxFrame {
+		return frame{}, ErrFrameTooLarge
 	}
-	body := make([]byte, size-1)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	buf := make([]byte, size-1)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return frame{}, err
 	}
-	return hdr[4], body, nil
+	f := frame{msgType: hdr[4] &^ traceFlag, id: binary.LittleEndian.Uint64(buf[0:8]), body: buf[8:]}
+	if hdr[4]&traceFlag != 0 {
+		tc, ok := telemetry.DecodeTraceContext(f.body)
+		if !ok || !tc.Sampled() {
+			return frame{}, ErrBadFrame
+		}
+		f.tc, f.body = tc, f.body[telemetry.TraceContextLen:]
+	}
+	return f, nil
 }
 
-// writeFrameV2 sends one v2 framed message:
-// uint32(length) | uint8(type) | uint64(requestID) | body.
-func writeFrameV2(w io.Writer, msgType uint8, id uint64, body []byte) error {
-	if len(body)+9 > maxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [13]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)+9))
-	hdr[4] = msgType
-	binary.LittleEndian.PutUint64(hdr[5:13], id)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// readFrameV2 receives one v2 framed message.
-func readFrameV2(r io.Reader) (uint8, uint64, []byte, error) {
-	var hdr [13]byte
-	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
-		return 0, 0, nil, err
-	}
-	size := binary.LittleEndian.Uint32(hdr[0:4])
-	if size < 9 || size > maxFrame {
-		return 0, 0, nil, ErrFrameTooLarge
-	}
-	if _, err := io.ReadFull(r, hdr[5:13]); err != nil {
-		return 0, 0, nil, err
-	}
-	id := binary.LittleEndian.Uint64(hdr[5:13])
-	body := make([]byte, size-9)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, err
-	}
-	return hdr[4], id, body, nil
-}
-
-// helloBody builds the opHello payload offering up to maxVersion.
-func helloBody(maxVersion uint8) []byte {
-	return append(helloMagic[:], maxVersion)
-}
-
-// parseHello validates an opHello body and picks the version to speak:
-// the highest both sides support, i.e. min(offered, protoV3).
-func parseHello(body []byte) (uint8, error) {
+// parseHello validates an opHello body: the magic, then exactly
+// protoVersion.
+func parseHello(body []byte) error {
 	if len(body) < 5 || [4]byte(body[0:4]) != helloMagic {
-		return 0, ErrBadFrame
+		return ErrBadFrame
 	}
-	offered := body[4]
-	if offered < protoV2 {
-		return 0, ErrBadVersion
+	if body[4] != protoVersion {
+		return fmt.Errorf("%w: %d (want %d)", ErrBadVersion, body[4], protoVersion)
 	}
-	if offered > protoV3 {
-		return protoV3, nil
-	}
-	return offered, nil
+	return nil
 }
 
-// clientHello negotiates the protocol version on a fresh connection and
-// returns what the server picked (protoV2 or protoV3). The handshake
-// itself uses v1 framing; every later frame on the connection uses v2
-// framing (v3 changes request bodies, not frames).
-func clientHello(conn net.Conn) (int, error) {
-	if err := writeFrame(conn, opHello, helloBody(protoV3)); err != nil {
-		return 0, fmt.Errorf("cluster: send hello: %w", err)
+// clientHello opens a fresh connection: send the hello (request ID 0) and
+// wait for the server to accept it.
+func clientHello(conn net.Conn) error {
+	hello := frame{msgType: opHello, body: append(helloMagic[:], protoVersion)}
+	if err := writeFrame(conn, hello); err != nil {
+		return fmt.Errorf("cluster: send hello: %w", err)
 	}
-	msgType, body, err := readFrame(conn)
+	resp, err := readFrame(conn)
 	if err != nil {
-		return 0, fmt.Errorf("cluster: read hello reply: %w", err)
+		return fmt.Errorf("cluster: read hello reply: %w", err)
 	}
-	switch msgType {
+	switch resp.msgType {
 	case respHello:
-		if len(body) < 1 || body[0] < protoV2 || body[0] > protoV3 {
-			return 0, ErrBadVersion
+		if len(resp.body) < 1 || resp.body[0] != protoVersion {
+			return ErrBadVersion
 		}
-		return int(body[0]), nil
+		return nil
 	case respError:
-		return 0, asRemoteError(body)
+		return asRemoteError(resp.body)
 	default:
-		return 0, ErrBadVersion
+		return ErrBadVersion
 	}
 }
 
-// handlerFunc executes one request and returns the response frame. It must
-// be safe for concurrent use: v2 connections dispatch requests in parallel.
-type handlerFunc func(version int, msgType uint8, body []byte) (uint8, []byte)
+// handlerFunc executes one request and returns the response frame's type
+// and body. tc is the request's trace context (zero when unsampled). It
+// must be safe for concurrent use: requests are dispatched in parallel.
+type handlerFunc func(tc telemetry.TraceContext, msgType uint8, body []byte) (uint8, []byte)
 
-// serveFrames drives one accepted connection in either protocol version.
-// A first frame of opHello upgrades the connection to v2, where each
-// request is handled in its own goroutine and responses are matched to
-// callers by request ID; any other first frame selects the serialized v1
-// loop, byte-for-byte compatible with older clients.
+// serveFrames drives one accepted connection. The first frame must be a
+// valid opHello, or the connection is closed without running the handler.
+// After it, requests are dispatched concurrently (bounded by maxInflight)
+// and responses serialized by a write mutex, each tagged with the ID of
+// the request it answers.
 func serveFrames(conn net.Conn, handle handlerFunc) {
-	msgType, body, err := readFrame(conn)
-	if err != nil {
+	hello, err := readFrame(conn)
+	if err != nil || hello.msgType != opHello {
 		return
 	}
-	if msgType == opHello {
-		version, err := parseHello(body)
-		if err != nil {
-			writeFrame(conn, respError, errorBody(err.Error()))
-			return
-		}
-		if err := writeFrame(conn, respHello, []byte{version}); err != nil {
-			return
-		}
-		serveV2(conn, int(version), handle)
+	if err := parseHello(hello.body); err != nil {
+		writeFrame(conn, frame{msgType: respError, body: errorBodyFor(err)})
 		return
 	}
-	for {
-		respType, respBody := handle(protoV1, msgType, body)
-		if err := writeFrame(conn, respType, respBody); err != nil {
-			return
-		}
-		msgType, body, err = readFrame(conn)
-		if err != nil {
-			return
-		}
+	if err := writeFrame(conn, frame{msgType: respHello, body: []byte{protoVersion}}); err != nil {
+		return
 	}
-}
-
-// serveV2 runs the multiplexed loop for a negotiated v2+ connection:
-// requests are dispatched concurrently (bounded by maxInflight) and
-// responses serialized by a write mutex, each tagged with the ID of the
-// request it answers. The negotiated version reaches every handler so v3
-// connections can strip the mandatory trace suffix.
-func serveV2(conn net.Conn, version int, handle handlerFunc) {
 	var (
 		//dynalint:allow lockio the response mutex exists to keep concurrent handler replies from interleaving on the socket
 		wmu sync.Mutex
@@ -321,7 +273,7 @@ func serveV2(conn net.Conn, version int, handle handlerFunc) {
 		sem = make(chan struct{}, maxInflight)
 	)
 	for {
-		msgType, id, body, err := readFrameV2(conn)
+		req, err := readFrame(conn)
 		if err != nil {
 			break
 		}
@@ -330,9 +282,9 @@ func serveV2(conn net.Conn, version int, handle handlerFunc) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			respType, respBody := handle(version, msgType, body)
+			respType, respBody := handle(req.tc, req.msgType, req.body)
 			wmu.Lock()
-			err := writeFrameV2(conn, respType, id, respBody)
+			err := writeFrame(conn, frame{msgType: respType, id: req.id, body: respBody})
 			wmu.Unlock()
 			if err != nil {
 				conn.Close() // unblocks the read loop
@@ -342,21 +294,14 @@ func serveV2(conn net.Conn, version int, handle handlerFunc) {
 	wg.Wait()
 }
 
-// encodeReadRequest builds an opRead body. v1 carries a uint16 target
-// count; v2 widens it to uint32.
-func encodeReadRequest(version int, targets []uint32) ([]byte, error) {
-	if version == protoV1 && len(targets) > 0xFFFF {
-		return nil, fmt.Errorf("%w: %d > 65535 (protocol v1)", ErrTooManyTargets, len(targets))
-	}
-	var body []byte
-	if version == protoV1 {
-		body = binary.LittleEndian.AppendUint16(nil, uint16(len(targets)))
-	} else {
-		body = binary.LittleEndian.AppendUint32(nil, uint32(len(targets)))
-	}
-	if len(body)+4*len(targets)+9 > maxFrame {
+// encodeReadRequest builds an opRead body: uint32(count) | count × user.
+// A request that would not fit one frame is ErrTooManyTargets.
+func encodeReadRequest(targets []uint32) ([]byte, error) {
+	if frameHeaderLen-4+telemetry.TraceContextLen+4+4*len(targets) > maxFrame {
 		return nil, fmt.Errorf("%w: %d targets exceed frame limit", ErrTooManyTargets, len(targets))
 	}
+	body := make([]byte, 0, 4+4*len(targets))
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(targets)))
 	for _, u := range targets {
 		body = binary.LittleEndian.AppendUint32(body, u)
 	}
@@ -367,39 +312,24 @@ func encodeReadRequest(version int, targets []uint32) ([]byte, error) {
 // what the body can actually hold before any allocation, in 64-bit
 // arithmetic, so a hostile count can neither overallocate nor overflow
 // int on 32-bit platforms.
-func decodeReadRequest(version int, body []byte) ([]uint32, error) {
-	var count64 int64
-	var off int
-	if version == protoV1 {
-		if len(body) < 2 {
-			return nil, ErrBadFrame
-		}
-		count64, off = int64(binary.LittleEndian.Uint16(body[0:2])), 2
-	} else {
-		if len(body) < 4 {
-			return nil, ErrBadFrame
-		}
-		count64, off = int64(binary.LittleEndian.Uint32(body[0:4])), 4
-	}
-	if count64 > int64((len(body)-off)/4) {
+func decodeReadRequest(body []byte) ([]uint32, error) {
+	if len(body) < 4 {
 		return nil, ErrBadFrame
 	}
-	count := int(count64)
-	targets := make([]uint32, count)
+	count64 := int64(binary.LittleEndian.Uint32(body[0:4]))
+	if count64 > int64((len(body)-4)/4) {
+		return nil, ErrBadFrame
+	}
+	targets := make([]uint32, count64)
 	for i := range targets {
-		targets[i] = binary.LittleEndian.Uint32(body[off+4*i:])
+		targets[i] = binary.LittleEndian.Uint32(body[4+4*i:])
 	}
 	return targets, nil
 }
 
-// encodeReadResponse builds a respRead body with the version's count width.
-func encodeReadResponse(version int, views []View) []byte {
-	var out []byte
-	if version == protoV1 {
-		out = binary.LittleEndian.AppendUint16(nil, uint16(len(views)))
-	} else {
-		out = binary.LittleEndian.AppendUint32(nil, uint32(len(views)))
-	}
+// encodeReadResponse builds a respRead body: uint32(count) | count × view.
+func encodeReadResponse(views []View) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(views)))
 	for _, v := range views {
 		out = encodeView(out, v)
 	}
@@ -407,30 +337,21 @@ func encodeReadResponse(version int, views []View) []byte {
 }
 
 // decodeReadResponse parses a respRead body. The returned remainder holds
-// whatever follows the encoded views — in particular the membership epoch
-// trailer newer brokers append (see decodeEpochTrailer).
-func decodeReadResponse(version int, body []byte) ([]View, []byte, error) {
-	var count int
-	var rest []byte
-	if version == protoV1 {
-		if len(body) < 2 {
-			return nil, nil, ErrBadFrame
-		}
-		count, rest = int(binary.LittleEndian.Uint16(body[0:2])), body[2:]
-	} else {
-		if len(body) < 4 {
-			return nil, nil, ErrBadFrame
-		}
-		count64 := int64(binary.LittleEndian.Uint32(body[0:4]))
-		// An encoded view is at least 10 bytes, so a count the body cannot
-		// hold is malformed — reject before trusting it for allocation.
-		if count64 > int64(len(body)-4)/10 {
-			return nil, nil, ErrBadFrame
-		}
-		count, rest = int(count64), body[4:]
+// whatever follows the encoded views — the membership epoch trailer (see
+// decodeEpochTrailer).
+func decodeReadResponse(body []byte) ([]View, []byte, error) {
+	if len(body) < 4 {
+		return nil, nil, ErrBadFrame
 	}
-	views := make([]View, 0, count)
-	for i := 0; i < count; i++ {
+	count64 := int64(binary.LittleEndian.Uint32(body[0:4]))
+	// An encoded view is at least 10 bytes, so a count the body cannot
+	// hold is malformed — reject before trusting it for allocation.
+	if count64 > int64(len(body)-4)/10 {
+		return nil, nil, ErrBadFrame
+	}
+	rest := body[4:]
+	views := make([]View, 0, count64)
+	for i := int64(0); i < count64; i++ {
 		var v View
 		var err error
 		v, rest, err = decodeView(rest)
@@ -652,53 +573,6 @@ func decodeAccessReport(body []byte) (sender uint32, reads []reportRead, writes 
 	return sender, reads, writes, nil
 }
 
-// splitTraceSuffix separates the mandatory 17-byte trace context a v3
-// peer appends to every opRead and opWrite body from the structured
-// payload ahead of it. The context is zero-valued (unsampled) on the
-// overwhelming majority of requests; a body too short to carry the
-// suffix is malformed.
-func splitTraceSuffix(body []byte) ([]byte, telemetry.TraceContext, error) {
-	if len(body) < telemetry.TraceContextLen {
-		return nil, telemetry.TraceContext{}, ErrBadFrame
-	}
-	cut := len(body) - telemetry.TraceContextLen
-	tc, _ := telemetry.DecodeTraceContext(body[cut:])
-	return body[:cut], tc, nil
-}
-
-// encodeSyncWriteTraced builds an opSyncWriteTraced body: the opSyncWrite
-// fields re-framed with an explicit payload length so a trace context can
-// ride behind the event:
-// uint32(user) | uint64(seq) | uint64(at) | uint32(plen) | payload | trace.
-func encodeSyncWriteTraced(user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext) []byte {
-	buf := make([]byte, 0, 24+len(payload)+telemetry.TraceContextLen)
-	buf = binary.LittleEndian.AppendUint32(buf, user)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(at))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return telemetry.AppendTraceContext(buf, tc)
-}
-
-// decodeSyncWriteTraced parses an opSyncWriteTraced body. The payload
-// aliases the frame buffer; callers that retain it must copy.
-func decodeSyncWriteTraced(body []byte) (user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext, err error) {
-	if len(body) < 24 {
-		return 0, 0, 0, nil, telemetry.TraceContext{}, ErrBadFrame
-	}
-	user = binary.LittleEndian.Uint32(body[0:4])
-	seq = binary.LittleEndian.Uint64(body[4:12])
-	at = int64(binary.LittleEndian.Uint64(body[12:20]))
-	plen := binary.LittleEndian.Uint32(body[20:24])
-	rest := body[24:]
-	if plen > maxEventLen || int64(plen) > int64(len(rest)) {
-		return 0, 0, 0, nil, telemetry.TraceContext{}, ErrBadFrame
-	}
-	payload = rest[:plen]
-	tc, _ = telemetry.DecodeTraceContext(rest[plen:])
-	return user, seq, at, payload, tc, nil
-}
-
 // encodeSyncWrite builds an opSyncWrite body: one durably sequenced event
 // being replicated to a peer broker's write-ahead log:
 // uint32(user) | uint64(seq) | uint64(at) | payload.
@@ -858,40 +732,38 @@ func encodeMembershipInfo(info MembershipInfo) []byte {
 	return buf
 }
 
-// decodeMembershipInfo parses a respMembership body. Loads are optional on
-// the wire (older or minimal encoders may omit them); when present they
-// must cover every slot.
+// decodeMembershipInfo parses a respMembership body; the loads must cover
+// every slot.
 func decodeMembershipInfo(body []byte) (MembershipInfo, error) {
 	v, rest, err := membership.DecodeView(body)
 	if err != nil {
 		return MembershipInfo{}, err
 	}
-	info := MembershipInfo{View: v}
-	if len(rest) >= 8*len(v.Servers) {
-		info.Loads = make([]int64, len(v.Servers))
-		for i := range info.Loads {
-			info.Loads[i] = int64(binary.LittleEndian.Uint64(rest[8*i:]))
-		}
+	if len(rest) < 8*len(v.Servers) {
+		return MembershipInfo{}, ErrBadFrame
+	}
+	info := MembershipInfo{View: v, Loads: make([]int64, len(v.Servers))}
+	for i := range info.Loads {
+		info.Loads[i] = int64(binary.LittleEndian.Uint64(rest[8*i:]))
 	}
 	return info, nil
 }
 
 // appendEpochTrailer appends the responder's membership epoch to a
-// respRead or respWrite body. Both decoders stop at their structured
-// payload, so the trailer is invisible to clients that predate elastic
-// membership; newer clients use it to notice a membership change
-// without an extra round trip.
+// respRead, respWrite or direct-read respView body, after the structured
+// payload; clients use it to notice a membership change without an extra
+// round trip.
 func appendEpochTrailer(body []byte, epoch uint64) []byte {
 	return binary.LittleEndian.AppendUint64(body, epoch)
 }
 
-// decodeEpochTrailer reads a trailing membership epoch, or 0 when the
-// responder did not send one.
-func decodeEpochTrailer(rest []byte) uint64 {
+// decodeEpochTrailer reads the membership epoch that follows a response's
+// structured payload.
+func decodeEpochTrailer(rest []byte) (uint64, error) {
 	if len(rest) < 8 {
-		return 0
+		return 0, ErrBadFrame
 	}
-	return binary.LittleEndian.Uint64(rest[len(rest)-8:])
+	return binary.LittleEndian.Uint64(rest[0:8]), nil
 }
 
 // LeaseReplica is one replica location in a lease: the cache server's
@@ -1004,31 +876,25 @@ func decodeStaleRoute(b []byte) (epoch, placement uint64, err error) {
 
 // appendPutMeta appends the direct-read fencing metadata to an opPutView
 // body, after the encoded view: uint64(epoch) | uint64(placement). The
-// server's put decoder stops at the view, so the trailer is invisible to
-// cache servers that predate direct reads; newer servers use it to learn
-// the membership epoch and the placement version of the view they now
-// hold.
+// server learns from it the membership epoch and the placement version of
+// the view it now holds.
 func appendPutMeta(buf []byte, epoch, placement uint64) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, epoch)
 	return binary.LittleEndian.AppendUint64(buf, placement)
 }
 
-// decodePutMeta reads the trailing put metadata, or zeros when the broker
-// did not send any. Epochs start at 1, so 0 means unknown; a placement
+// decodePutMeta reads the put metadata that follows the view. A placement
 // version of 0 is simply a view that was never re-placed — it can never
 // out-fence a lease.
-func decodePutMeta(b []byte) (epoch, placement uint64) {
+func decodePutMeta(b []byte) (epoch, placement uint64, err error) {
 	if len(b) < 16 {
-		return 0, 0
+		return 0, 0, ErrBadFrame
 	}
-	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16])
+	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]), nil
 }
 
-// appendBrokerStats encodes the respStats body: eleven fixed 8-byte
-// counters in wire order, paired with decodeBrokerStats. The counter
-// groups were added over time (40 → 48 → 72 → 80 → 88 bytes), so the
-// decoder tolerates shorter bodies from older brokers; the encoder
-// always sends the full current set.
+// appendBrokerStats encodes the respStats body of a broker: eleven fixed
+// 8-byte counters in wire order, paired with decodeBrokerStats.
 func appendBrokerStats(b []byte, st BrokerStats) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.Reads))
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.Writes))
@@ -1042,6 +908,53 @@ func appendBrokerStats(b []byte, st BrokerStats) []byte {
 	b = binary.LittleEndian.AppendUint64(b, st.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.LeaseGrants))
 	return b
+}
+
+// decodeBrokerStats parses a broker's respStats body.
+func decodeBrokerStats(body []byte) (BrokerStats, error) {
+	if len(body) < 88 {
+		return BrokerStats{}, ErrBadFrame
+	}
+	return BrokerStats{
+		Reads:             int64(binary.LittleEndian.Uint64(body[0:8])),
+		Writes:            int64(binary.LittleEndian.Uint64(body[8:16])),
+		Replicated:        int64(binary.LittleEndian.Uint64(body[16:24])),
+		Evicted:           int64(binary.LittleEndian.Uint64(body[24:32])),
+		Misses:            int64(binary.LittleEndian.Uint64(body[32:40])),
+		Migrated:          int64(binary.LittleEndian.Uint64(body[40:48])),
+		Checkpoints:       int64(binary.LittleEndian.Uint64(body[48:56])),
+		CompactedSegments: int64(binary.LittleEndian.Uint64(body[56:64])),
+		CatchupRecords:    int64(binary.LittleEndian.Uint64(body[64:72])),
+		Epoch:             binary.LittleEndian.Uint64(body[72:80]),
+		LeaseGrants:       int64(binary.LittleEndian.Uint64(body[80:88])),
+	}, nil
+}
+
+// appendServerStats encodes the respStats body of a cache server:
+// uint32(views) then five 8-byte counters, paired with decodeServerStats.
+func appendServerStats(b []byte, st ServerStats) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(st.Views))
+	b = binary.LittleEndian.AppendUint64(b, uint64(st.Hits))
+	b = binary.LittleEndian.AppendUint64(b, uint64(st.Misses))
+	b = binary.LittleEndian.AppendUint64(b, uint64(st.Puts))
+	b = binary.LittleEndian.AppendUint64(b, uint64(st.DirectReads))
+	b = binary.LittleEndian.AppendUint64(b, uint64(st.DirectStale))
+	return b
+}
+
+// decodeServerStats parses a cache server's respStats body.
+func decodeServerStats(body []byte) (ServerStats, error) {
+	if len(body) < 44 {
+		return ServerStats{}, ErrBadFrame
+	}
+	return ServerStats{
+		Views:       int(binary.LittleEndian.Uint32(body[0:4])),
+		Hits:        int64(binary.LittleEndian.Uint64(body[4:12])),
+		Misses:      int64(binary.LittleEndian.Uint64(body[12:20])),
+		Puts:        int64(binary.LittleEndian.Uint64(body[20:28])),
+		DirectReads: int64(binary.LittleEndian.Uint64(body[28:36])),
+		DirectStale: int64(binary.LittleEndian.Uint64(body[36:44])),
+	}, nil
 }
 
 // errorBody builds a respError payload.
@@ -1063,12 +976,12 @@ var wireErrs = []struct {
 	{'U', membership.ErrUnknownServer},
 	{'D', membership.ErrDuplicateAddr},
 	{'A', membership.ErrLastActive},
+	{'V', ErrBadVersion},
 }
 
 // errorBodyFor builds a respError payload from an error, prefixing the
 // code of the first matching wire sentinel so the remote client can
-// reconstruct it. Errors matching no sentinel travel as their plain text,
-// exactly as before — old clients see a three-byte prefix at worst.
+// reconstruct it. Errors matching no sentinel travel as their plain text.
 func errorBodyFor(err error) []byte {
 	for _, we := range wireErrs {
 		if errors.Is(err, we.err) {
@@ -1101,7 +1014,7 @@ func asRemoteError(body []byte) error {
 				return &remoteError{sentinel: we.err, msg: msg[3:]}
 			}
 		}
-		// An unknown code from a newer peer: surface the text untouched.
+		// An unknown code: surface the text untouched.
 		msg = msg[3:]
 	}
 	return fmt.Errorf("%w: %s", ErrRemote, msg)

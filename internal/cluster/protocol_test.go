@@ -7,26 +7,33 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dynasore/internal/membership"
+	"dynasore/internal/telemetry"
 	"dynasore/internal/wal"
 )
 
 // --- frame-level edge cases ---
 
+// sampledTC is a trace context that makes writeFrame set traceFlag.
+var sampledTC = telemetry.TraceContext{TraceID: 0xA1B2C3D4E5F60718, SpanID: 0x1122334455667788, Flags: telemetry.FlagSampled}
+
 func TestReadFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, opRead, []byte("abcdef")); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for cut := 1; cut < len(full); cut++ {
-		_, _, err := readFrame(bytes.NewReader(full[:cut]))
-		if err == nil {
-			t.Errorf("truncated frame of %d/%d bytes accepted", cut, len(full))
+	for _, tc := range []telemetry.TraceContext{{}, sampledTC} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, frame{msgType: opRead, id: 3, tc: tc, body: []byte("abcdef")}); err != nil {
+			t.Fatal(err)
+		}
+		full := buf.Bytes()
+		for cut := 1; cut < len(full); cut++ {
+			if _, err := readFrame(bytes.NewReader(full[:cut])); err == nil {
+				t.Errorf("sampled=%v: truncated frame of %d/%d bytes accepted", tc.Sampled(), cut, len(full))
+			}
 		}
 	}
 }
@@ -35,7 +42,7 @@ func TestReadFrameZeroAndOversize(t *testing.T) {
 	for _, size := range []uint32{0, maxFrame + 1, 0xFFFFFFFF} {
 		hdr := binary.LittleEndian.AppendUint32(nil, size)
 		hdr = append(hdr, opRead)
-		_, _, err := readFrame(bytes.NewReader(hdr))
+		_, err := readFrame(bytes.NewReader(hdr))
 		if !errors.Is(err, ErrFrameTooLarge) {
 			t.Errorf("size %d: err = %v, want ErrFrameTooLarge", size, err)
 		}
@@ -43,83 +50,117 @@ func TestReadFrameZeroAndOversize(t *testing.T) {
 }
 
 func TestWriteFrameTooLarge(t *testing.T) {
-	if err := writeFrame(io.Discard, opWrite, make([]byte, maxFrame)); !errors.Is(err, ErrFrameTooLarge) {
+	// The length field counts type, request ID, the trace context when
+	// present, and the body; maxFrame bounds all of it.
+	if err := writeFrame(io.Discard, frame{msgType: opWrite, id: 1, body: make([]byte, maxFrame-8)}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if err := writeFrameV2(io.Discard, opWrite, 1, make([]byte, maxFrame-8)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("v2 err = %v, want ErrFrameTooLarge", err)
+	if err := writeFrame(io.Discard, frame{msgType: opWrite, id: 1, body: make([]byte, maxFrame-9)}); err != nil {
+		t.Errorf("largest untraced frame: %v", err)
+	}
+	traced := frame{msgType: opWrite, id: 1, tc: sampledTC, body: make([]byte, maxFrame-9-telemetry.TraceContextLen+1)}
+	if err := writeFrame(io.Discard, traced); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("traced err = %v, want ErrFrameTooLarge", err)
+	}
+	// Op codes stay below traceFlag; a type byte that would collide with
+	// it is refused rather than sent as a traced frame.
+	if err := writeFrame(io.Discard, frame{msgType: traceFlag | opRead}); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("flagged op code: err = %v, want ErrBadFrame", err)
 	}
 }
 
 func TestFrameV2RoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrameV2(&buf, respRead, 0xDEADBEEFCAFE, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	msgType, id, body, err := readFrameV2(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgType != respRead || id != 0xDEADBEEFCAFE || string(body) != "payload" {
-		t.Errorf("round trip = (%d, %x, %q)", msgType, id, body)
+	for _, tc := range []telemetry.TraceContext{{}, sampledTC} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, frame{msgType: respRead, id: 0xDEADBEEFCAFE, tc: tc, body: []byte("payload")}); err != nil {
+			t.Fatal(err)
+		}
+		// An unsampled frame carries no trace bytes at all.
+		want := frameHeaderLen + len("payload")
+		if tc.Sampled() {
+			want += telemetry.TraceContextLen
+		}
+		if buf.Len() != want {
+			t.Errorf("sampled=%v: frame is %d bytes, want %d", tc.Sampled(), buf.Len(), want)
+		}
+		f, err := readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.msgType != respRead || f.id != 0xDEADBEEFCAFE || f.tc != tc || string(f.body) != "payload" {
+			t.Errorf("round trip = %+v", f)
+		}
 	}
 }
 
 func TestReadFrameV2Undersized(t *testing.T) {
-	// A v2 frame must hold at least type + request ID (9 bytes).
+	// A frame must hold at least type + request ID (9 bytes).
 	hdr := binary.LittleEndian.AppendUint32(nil, 5)
 	hdr = append(hdr, opRead, 0, 0, 0, 0)
-	if _, _, _, err := readFrameV2(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
+	}
+	// A traced frame must also hold its 17-byte context, and the context
+	// it declares must be sampled.
+	short := binary.LittleEndian.AppendUint32(nil, 9+telemetry.TraceContextLen-1)
+	short = append(short, opRead|traceFlag)
+	short = append(short, make([]byte, 8+telemetry.TraceContextLen-1)...)
+	if _, err := readFrame(bytes.NewReader(short)); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("short traced frame: err = %v, want ErrBadFrame", err)
+	}
+	unsampled := binary.LittleEndian.AppendUint32(nil, 9+telemetry.TraceContextLen)
+	unsampled = append(unsampled, opRead|traceFlag)
+	unsampled = append(unsampled, make([]byte, 8+telemetry.TraceContextLen)...)
+	if _, err := readFrame(bytes.NewReader(unsampled)); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("flagged unsampled context: err = %v, want ErrBadFrame", err)
 	}
 }
 
 func TestParseHello(t *testing.T) {
-	if v, err := parseHello(helloBody(protoV2)); err != nil || v != protoV2 {
-		t.Errorf("parseHello(valid) = %d, %v", v, err)
+	hello := func(version byte) []byte { return append(helloMagic[:], version) }
+	if err := parseHello(hello(protoVersion)); err != nil {
+		t.Errorf("parseHello(current) = %v", err)
 	}
-	if v, err := parseHello(helloBody(protoV3)); err != nil || v != protoV3 {
-		t.Errorf("parseHello(v3) = %d, %v", v, err)
+	// Exactly one version is spoken: every other one, older or newer, is
+	// refused.
+	for _, v := range []byte{0, 1, 2, 3, protoVersion + 1, 255} {
+		if err := parseHello(hello(v)); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)
+		}
 	}
-	if v, err := parseHello(helloBody(9)); err != nil || v != protoV3 {
-		t.Errorf("future client version: = %d, %v, want downgrade to v3", v, err)
-	}
-	if _, err := parseHello([]byte("XXXX\x02")); !errors.Is(err, ErrBadFrame) {
+	if err := parseHello([]byte("XXXX\x04")); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("bad magic: err = %v, want ErrBadFrame", err)
 	}
-	if _, err := parseHello(helloBody(protoV1)); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("v1 hello: err = %v, want ErrBadVersion", err)
-	}
-	if _, err := parseHello([]byte{'D', 'S'}); !errors.Is(err, ErrBadFrame) {
+	if err := parseHello([]byte{'D', 'S'}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("short hello: err = %v, want ErrBadFrame", err)
 	}
 }
 
 func TestReadRequestCounts(t *testing.T) {
-	// v1 must reject >65535 targets instead of silently truncating.
+	// The uint32 count carries more targets than a uint16 could.
 	big := make([]uint32, 70000)
-	if _, err := encodeReadRequest(protoV1, big); !errors.Is(err, ErrTooManyTargets) {
-		t.Errorf("v1 70000 targets: err = %v, want ErrTooManyTargets", err)
-	}
-	// v2 widens the count field.
-	body, err := encodeReadRequest(protoV2, big)
+	body, err := encodeReadRequest(big)
 	if err != nil {
-		t.Fatalf("v2 70000 targets: %v", err)
+		t.Fatalf("70000 targets: %v", err)
 	}
-	targets, err := decodeReadRequest(protoV2, body)
+	targets, err := decodeReadRequest(body)
 	if err != nil || len(targets) != 70000 {
-		t.Fatalf("v2 decode = %d targets, %v", len(targets), err)
+		t.Fatalf("decode = %d targets, %v", len(targets), err)
 	}
-	// Truncated request bodies are rejected in both versions.
-	small, err := encodeReadRequest(protoV2, []uint32{1, 2, 3})
+	// A request that cannot fit one frame is refused, not truncated.
+	if _, err := encodeReadRequest(make([]uint32, maxFrame/4)); !errors.Is(err, ErrTooManyTargets) {
+		t.Errorf("%d targets: err = %v, want ErrTooManyTargets", maxFrame/4, err)
+	}
+	// Truncated and short request bodies are rejected.
+	small, err := encodeReadRequest([]uint32{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeReadRequest(protoV2, small[:len(small)-2]); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("truncated v2 request: err = %v, want ErrBadFrame", err)
+	if _, err := decodeReadRequest(small[:len(small)-2]); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("truncated request: err = %v, want ErrBadFrame", err)
 	}
-	if _, err := decodeReadRequest(protoV1, []byte{9}); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("short v1 request: err = %v, want ErrBadFrame", err)
+	if _, err := decodeReadRequest([]byte{9, 0, 0}); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("short request: err = %v, want ErrBadFrame", err)
 	}
 }
 
@@ -127,7 +168,7 @@ func TestReadRequestCounts(t *testing.T) {
 
 func TestUnknownMessageTypeGetsError(t *testing.T) {
 	_, _, c := testCluster(t, 1, nil)
-	respType, body, err := c.roundTrip(250, nil)
+	respType, body, err := c.do(context.Background(), traceFlag-1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,25 +177,99 @@ func TestUnknownMessageTypeGetsError(t *testing.T) {
 	}
 }
 
+// rawHello dials addr, sends one hello frame with the given body, and
+// returns the reply frame.
+func rawHello(t *testing.T, addr string, body []byte) frame {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeFrame(conn, frame{msgType: opHello, body: body}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestHelloBadMagicRejected(t *testing.T) {
 	b, _, _ := testCluster(t, 1, nil)
-	c, err := Dial(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	respType, _, err := c.roundTrip(opHello, []byte("NOPE\x02"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if respType != respError {
-		t.Errorf("respType = %d, want respError", respType)
+	if f := rawHello(t, b.Addr(), []byte("NOPE\x04")); f.msgType != respError {
+		t.Errorf("respType = %d, want respError", f.msgType)
 	}
 }
 
-func dialV2(t *testing.T, addr string) *ClientV2 {
+// TestHelloWrongVersionRefused: a peer naming any version but the current
+// one is refused, and the refusal keeps its ErrBadVersion identity across
+// the wire.
+func TestHelloWrongVersionRefused(t *testing.T) {
+	b, _, _ := testCluster(t, 1, nil)
+	for _, v := range []byte{2, 3, protoVersion + 1} {
+		f := rawHello(t, b.Addr(), append(helloMagic[:], v))
+		if f.msgType != respError {
+			t.Fatalf("version %d: respType = %d, want respError", v, f.msgType)
+		}
+		if err := asRemoteError(f.body); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)
+		}
+	}
+}
+
+// TestFirstFrameNotHelloClosesConnection: a connection whose first frame
+// is a request rather than a hello is closed unanswered, and the handler
+// never runs.
+func TestFirstFrameNotHelloClosesConnection(t *testing.T) {
+	client, server := net.Pipe()
+	var ran atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		serveFrames(server, func(telemetry.TraceContext, uint8, []byte) (uint8, []byte) {
+			ran.Store(true)
+			return respOK, nil
+		})
+	}()
+	client.SetDeadline(time.Now().Add(5 * time.Second))
+	body := append(binary.LittleEndian.AppendUint32(nil, 1), "x"...)
+	if err := writeFrame(client, frame{msgType: opWrite, id: 1, body: body}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := readFrame(client); err == nil {
+		t.Errorf("non-hello first frame answered with %+v, want a closed connection", f)
+	}
+	<-done
+	if ran.Load() {
+		t.Error("handler ran for a connection that never sent a hello")
+	}
+
+	// The same against a live broker: the write is never applied.
+	b, _, _ := testCluster(t, 1, nil)
+	conn, err := net.DialTimeout("tcp", b.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeFrame(conn, frame{msgType: opWrite, id: 1, body: body}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readFrame(conn); err == nil {
+		t.Error("broker answered a non-hello first frame")
+	}
+	if st := b.Stats(); st.Writes != 0 {
+		t.Errorf("broker writes = %d, want 0", st.Writes)
+	}
+}
+
+func dialClient(t *testing.T, addr string) *Client {
 	t.Helper()
-	c, err := DialV2(context.Background(), addr, 1)
+	c, err := Dial(context.Background(), addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,33 +277,10 @@ func dialV2(t *testing.T, addr string) *ClientV2 {
 	return c
 }
 
-func TestV2WriteThenRead(t *testing.T) {
+func TestMultiplexedConcurrentRequests(t *testing.T) {
 	b, _, _ := testCluster(t, 3, nil)
 	ctx := context.Background()
-	c := dialV2(t, b.Addr())
-	if _, err := c.Write(ctx, 7, []byte("hello v2")); err != nil {
-		t.Fatal(err)
-	}
-	views, err := c.Read(ctx, []uint32{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(views) != 1 || len(views[0].Events) != 1 || string(views[0].Events[0]) != "hello v2" {
-		t.Fatalf("views = %+v", views)
-	}
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Reads != 1 || st.Writes != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestV2MultiplexedConcurrentRequests(t *testing.T) {
-	b, _, _ := testCluster(t, 3, nil)
-	ctx := context.Background()
-	c := dialV2(t, b.Addr()) // pool size 1: all requests share one connection
+	c := dialClient(t, b.Addr()) // pool size 1: all requests share one connection
 	const workers = 16
 	const opsEach = 20
 	var wg sync.WaitGroup
@@ -230,45 +322,26 @@ func TestV2MultiplexedConcurrentRequests(t *testing.T) {
 	}
 }
 
-func TestV2ContextCancellation(t *testing.T) {
+// TestContextCancellation: a request whose context is already done fails
+// with the context's error and is never sent — a cancelled Write must not
+// be applied.
+func TestContextCancellation(t *testing.T) {
 	b, _, _ := testCluster(t, 1, nil)
-	c := dialV2(t, b.Addr())
+	c := dialClient(t, b.Addr())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.Read(ctx, []uint32{1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
+	if _, err := c.Write(ctx, 1, []byte("never sent")); !errors.Is(err, context.Canceled) {
+		t.Errorf("write err = %v, want context.Canceled", err)
+	}
+	if st := b.Stats(); st.Writes != 0 {
+		t.Errorf("broker writes = %d after a cancelled Write, want 0", st.Writes)
+	}
 	// The connection stays usable for later requests.
 	if _, err := c.Read(context.Background(), []uint32{1}); err != nil {
 		t.Errorf("read after cancelled request: %v", err)
-	}
-}
-
-func TestV1AndV2ClientsInterop(t *testing.T) {
-	b, _, c1 := testCluster(t, 2, nil)
-	ctx := context.Background()
-	c2 := dialV2(t, b.Addr())
-	if _, err := c1.Write(3, []byte("from v1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Write(ctx, 3, []byte("from v2")); err != nil {
-		t.Fatal(err)
-	}
-	v1Views, err := c1.Read([]uint32{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2Views, err := c2.Read(ctx, []uint32{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, views := range map[string][]View{"v1": v1Views, "v2": v2Views} {
-		if len(views) != 1 || len(views[0].Events) != 2 {
-			t.Fatalf("%s views = %+v", name, views)
-		}
-		if string(views[0].Events[0]) != "from v1" || string(views[0].Events[1]) != "from v2" {
-			t.Errorf("%s events = %q", name, views[0].Events)
-		}
 	}
 }
 
@@ -278,13 +351,13 @@ func TestV2ReadBeyond64KTargets(t *testing.T) {
 	}
 	b, _, _ := testCluster(t, 3, nil)
 	ctx := context.Background()
-	c := dialV2(t, b.Addr())
+	c := dialClient(t, b.Addr())
 	for u := uint32(0); u < 10; u++ {
 		if _, err := c.Write(ctx, u, []byte{byte(u)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// More targets than a v1 uint16 count can express, cycling 10 users.
+	// More targets than a uint16 count could express, cycling 10 users.
 	targets := make([]uint32, 0x10000+16)
 	for i := range targets {
 		targets[i] = uint32(i % 10)
@@ -332,62 +405,59 @@ func TestConcurrentReadsDoNotDuplicateReplicas(t *testing.T) {
 }
 
 func TestDecodeReadResponseHostileCount(t *testing.T) {
-	// A malformed v2 respRead claiming 2^32-1 views in a 4-byte body must
-	// be rejected without attempting a giant allocation.
+	// A malformed respRead claiming 2^32-1 views in a 4-byte body must be
+	// rejected without attempting a giant allocation.
 	body := binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF)
-	if _, _, err := decodeReadResponse(protoV2, body); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := decodeReadResponse(body); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("err = %v, want ErrBadFrame", err)
 	}
-	// Same for a v2 read request header.
-	if _, err := decodeReadRequest(protoV2, body); !errors.Is(err, ErrBadFrame) {
+	// Same for a read request header.
+	if _, err := decodeReadRequest(body); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("request err = %v, want ErrBadFrame", err)
 	}
 }
 
 // --- fuzzing ---
 
+// FuzzReadFrame drives the one frame codec, with and without the trace
+// flag: whatever parses must re-encode to the identical bytes, and a
+// frame too short for its declared context or longer than maxFrame is
+// rejected.
 func FuzzReadFrame(f *testing.F) {
-	// Seed corpus: valid frames of both versions, truncations, oversizes.
-	var valid bytes.Buffer
-	writeFrame(&valid, opRead, []byte{1, 0, 42, 0, 0, 0})
-	f.Add(valid.Bytes())
-	var validV2 bytes.Buffer
-	writeFrameV2(&validV2, opRead, 7, []byte{1, 0, 0, 0, 42, 0, 0, 0})
-	f.Add(validV2.Bytes())
+	seed := func(fr frame) []byte {
+		var buf bytes.Buffer
+		writeFrame(&buf, fr)
+		return buf.Bytes()
+	}
+	readBody := []byte{1, 0, 0, 0, 42, 0, 0, 0}
+	f.Add(seed(frame{msgType: opRead, id: 7, body: readBody}))
+	f.Add(seed(frame{msgType: opRead, id: 7, tc: sampledTC, body: readBody}))
+	f.Add(seed(frame{msgType: opHello, body: append(helloMagic[:], protoVersion)}))
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 0, 0})
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
-	f.Add(append(binary.LittleEndian.AppendUint32(nil, 9), opHello))
-	f.Add(helloBody(protoV2))
+	// A flagged frame one byte short of its context.
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, 9+telemetry.TraceContextLen-1), opRead|traceFlag))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msgType, body, err := readFrame(bytes.NewReader(data))
-		if err == nil {
-			// Whatever parsed must re-encode to the identical bytes.
-			var buf bytes.Buffer
-			if werr := writeFrame(&buf, msgType, body); werr != nil {
-				t.Fatalf("re-encode failed: %v", werr)
-			}
-			if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
-				t.Fatalf("round trip mismatch: %x != %x", buf.Bytes(), data[:buf.Len()])
-			}
+		fr, err := readFrame(bytes.NewReader(data))
+		if err != nil {
+			return
 		}
-		if t2, id, body2, err2 := readFrameV2(bytes.NewReader(data)); err2 == nil {
-			var buf bytes.Buffer
-			if werr := writeFrameV2(&buf, t2, id, body2); werr != nil {
-				t.Fatalf("v2 re-encode failed: %v", werr)
-			}
-			if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
-				t.Fatalf("v2 round trip mismatch")
-			}
+		var buf bytes.Buffer
+		if werr := writeFrame(&buf, fr); werr != nil {
+			t.Fatalf("re-encode failed: %v", werr)
+		}
+		if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
+			t.Fatalf("round trip mismatch: %x != %x", buf.Bytes(), data[:buf.Len()])
 		}
 	})
 }
 
-// FuzzMembershipInfo drives the opMembershipDelta/opMembershipPull body
-// codec (an encoded membership view, optionally followed by slot-aligned
-// loads in respMembership bodies): whatever decodes must re-encode to the
-// identical bytes, and hostile counts must be rejected before allocation.
+// FuzzMembershipInfo drives the respMembership body codec (an encoded
+// membership view followed by one load per slot): whatever decodes must
+// re-encode to the identical bytes, and hostile counts must be rejected
+// before allocation.
 func FuzzMembershipInfo(f *testing.F) {
 	view := membership.Seed([]membership.ServerInfo{
 		{Addr: "127.0.0.1:7001", Zone: 0, Rack: 1},
@@ -395,7 +465,7 @@ func FuzzMembershipInfo(f *testing.F) {
 	})
 	view, _ = view.WithDraining("127.0.0.1:7002")
 	f.Add(encodeMembershipInfo(MembershipInfo{View: view, Loads: []int64{3, 0}}))
-	f.Add(membership.AppendView(nil, view)) // delta body: no loads
+	f.Add(membership.AppendView(nil, view)) // loads missing: rejected
 	f.Add([]byte{})
 	f.Add(make([]byte, 10))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -403,17 +473,9 @@ func FuzzMembershipInfo(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// The view always round-trips byte-for-byte.
-		vb := membership.AppendView(nil, info.View)
-		if !bytes.Equal(vb, data[:len(vb)]) {
-			t.Fatalf("membership view round trip mismatch")
-		}
-		// When loads were present, the full body round-trips too.
-		if info.Loads != nil {
-			re := encodeMembershipInfo(info)
-			if !bytes.Equal(re, data[:len(re)]) {
-				t.Fatalf("membership info round trip mismatch")
-			}
+		re := encodeMembershipInfo(info)
+		if !bytes.Equal(re, data[:len(re)]) {
+			t.Fatalf("membership info round trip mismatch")
 		}
 	})
 }
@@ -633,39 +695,60 @@ func TestLogRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBrokerStatsDecodeBackCompat pins the wire evolution of respStats:
-// 40-byte (pre-migration), 48-byte (pre-durability), and current 72-byte
-// bodies all decode, newer fields zero when absent.
-func TestBrokerStatsDecodeBackCompat(t *testing.T) {
-	full := make([]byte, 0, 72)
-	for i := int64(1); i <= 9; i++ {
-		full = binary.LittleEndian.AppendUint64(full, uint64(i))
+// TestDecodersRejectShortBodies: every peer passed the same one-version
+// hello, so it always sends the full body, and a body one byte short is
+// malformed for each of these decoders.
+func TestDecodersRejectShortBodies(t *testing.T) {
+	view := membership.Seed([]membership.ServerInfo{{Addr: "a:1"}, {Addr: "b:2"}})
+	readResp := appendEpochTrailer(encodeReadResponse([]View{{Version: 1}}), 3)
+	putBody := appendPutMeta(encodeView(nil, View{Version: 1}), 2, 5)
+	cases := []struct {
+		name   string
+		full   []byte
+		decode func([]byte) error
+	}{
+		{"broker stats", appendBrokerStats(nil, BrokerStats{Reads: 1}), func(b []byte) error {
+			_, err := decodeBrokerStats(b)
+			return err
+		}},
+		{"server stats", appendServerStats(nil, ServerStats{Views: 1}), func(b []byte) error {
+			_, err := decodeServerStats(b)
+			return err
+		}},
+		{"put meta", appendPutMeta(nil, 2, 5), func(b []byte) error {
+			_, _, err := decodePutMeta(b)
+			return err
+		}},
+		{"put view body", putBody, func(b []byte) error {
+			_, rest, err := decodeView(b)
+			if err == nil {
+				_, _, err = decodePutMeta(rest)
+			}
+			return err
+		}},
+		{"epoch trailer", appendEpochTrailer(nil, 3), func(b []byte) error {
+			_, err := decodeEpochTrailer(b)
+			return err
+		}},
+		{"read response", readResp, func(b []byte) error {
+			_, rest, err := decodeReadResponse(b)
+			if err == nil {
+				_, err = decodeEpochTrailer(rest)
+			}
+			return err
+		}},
+		{"membership loads", encodeMembershipInfo(MembershipInfo{View: view, Loads: []int64{4, 1}}), func(b []byte) error {
+			_, err := decodeMembershipInfo(b)
+			return err
+		}},
 	}
-	st, err := decodeBrokerStats(respStats, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := BrokerStats{Reads: 1, Writes: 2, Replicated: 3, Evicted: 4, Misses: 5, Migrated: 6,
-		Checkpoints: 7, CompactedSegments: 8, CatchupRecords: 9}
-	if st != want {
-		t.Fatalf("full stats = %+v, want %+v", st, want)
-	}
-	st, err = decodeBrokerStats(respStats, full[:48])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Migrated != 6 || st.Checkpoints != 0 || st.CatchupRecords != 0 {
-		t.Fatalf("48-byte stats = %+v, want durability fields zero", st)
-	}
-	st, err = decodeBrokerStats(respStats, full[:40])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Misses != 5 || st.Migrated != 0 {
-		t.Fatalf("40-byte stats = %+v", st)
-	}
-	if _, err := decodeBrokerStats(respStats, full[:30]); err == nil {
-		t.Error("short stats body accepted")
+	for _, c := range cases {
+		if err := c.decode(c.full); err != nil {
+			t.Errorf("%s: full body rejected: %v", c.name, err)
+		}
+		if err := c.decode(c.full[:len(c.full)-1]); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: body one byte short: err = %v, want ErrBadFrame", c.name, err)
+		}
 	}
 }
 
@@ -730,9 +813,8 @@ func TestDirectGetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPutMetaTrailer pins the opPutView trailer discipline: a view
-// encoded with the fencing trailer decodes identically, and the trailer
-// reads back (or zeros, for a pre-direct-reads broker that sent none).
+// TestPutMetaTrailer pins the opPutView body layout: the view, then the
+// fencing metadata, which reads back intact and is required.
 func TestPutMetaTrailer(t *testing.T) {
 	v := View{Version: 9, Events: [][]byte{[]byte("a"), []byte("bc")}}
 	body := appendPutMeta(encodeView(nil, v), 5, 11)
@@ -740,17 +822,17 @@ func TestPutMetaTrailer(t *testing.T) {
 	if err != nil || got.Version != 9 || len(got.Events) != 2 {
 		t.Fatalf("view with trailer = %+v, %v", got, err)
 	}
-	epoch, placement := decodePutMeta(rest)
-	if epoch != 5 || placement != 11 {
-		t.Fatalf("trailer = (%d, %d), want (5, 11)", epoch, placement)
+	epoch, placement, err := decodePutMeta(rest)
+	if err != nil || epoch != 5 || placement != 11 {
+		t.Fatalf("trailer = (%d, %d, %v), want (5, 11, nil)", epoch, placement, err)
 	}
-	// No trailer: zeros, meaning unknown epoch / never re-placed.
+	// No metadata: a malformed put, not an unknown epoch.
 	_, rest, err = decodeView(encodeView(nil, v))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch, placement := decodePutMeta(rest); epoch != 0 || placement != 0 {
-		t.Errorf("absent trailer = (%d, %d), want zeros", epoch, placement)
+	if _, _, err := decodePutMeta(rest); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("absent trailer: err = %v, want ErrBadFrame", err)
 	}
 }
 

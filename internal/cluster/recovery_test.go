@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dynasore/internal/telemetry"
 	"dynasore/internal/wal"
 )
 
@@ -405,7 +406,7 @@ func TestReadRepairReinstallsRestartedReplica(t *testing.T) {
 	// complete.
 	conn := newServerConn(addr)
 	defer conn.close()
-	rv, ok, err := conn.getView(hot)
+	rv, ok, err := conn.getView(hot, telemetry.TraceContext{})
 	if err != nil || !ok {
 		t.Fatalf("restarted server has no copy: ok=%v err=%v", ok, err)
 	}

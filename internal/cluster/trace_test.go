@@ -1,50 +1,33 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"net"
 	"testing"
 	"time"
 
 	"dynasore/internal/telemetry"
 )
 
-func TestSplitTraceSuffixRoundTrip(t *testing.T) {
-	tc := telemetry.TraceContext{TraceID: 0xA1B2C3D4E5F60718, SpanID: 0x1122334455667788, Flags: telemetry.FlagSampled}
-	body := telemetry.AppendTraceContext([]byte("request-body"), tc)
-	inner, got, err := splitTraceSuffix(body)
+// tracingClient dials addr with a client that samples every request into
+// its own telemetry node.
+func tracingClient(t *testing.T, ctx context.Context, addr string) (*Client, *telemetry.Node) {
+	t.Helper()
+	c, err := Dial(ctx, addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(inner) != "request-body" || got != tc {
-		t.Errorf("splitTraceSuffix = %q, %+v", inner, got)
-	}
-	if _, _, err := splitTraceSuffix([]byte("short")); err == nil {
-		t.Error("splitTraceSuffix(short) = nil error, want ErrBadFrame")
-	}
-}
-
-func TestSyncWriteTracedCodecRoundTrip(t *testing.T) {
-	tc := telemetry.TraceContext{TraceID: 7, SpanID: 9, Flags: telemetry.FlagSampled}
-	payload := []byte("replicated event")
-	body := encodeSyncWriteTraced(42, 1001, 555, payload, tc)
-	user, seq, at, p, got, err := decodeSyncWriteTraced(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if user != 42 || seq != 1001 || at != 555 || !bytes.Equal(p, payload) || got != tc {
-		t.Errorf("decodeSyncWriteTraced = %d, %d, %d, %q, %+v", user, seq, at, p, got)
-	}
-	if _, _, _, _, _, err := decodeSyncWriteTraced(body[:20]); err == nil {
-		t.Error("truncated body decoded without error")
-	}
+	t.Cleanup(func() { c.Close() })
+	clientTel := telemetry.New()
+	c.setTelemetry(clientTel)
+	clientTel.SetSampleEvery(1)
+	return c, clientTel
 }
 
 // TestClientTraceReachesBroker is the tracing acceptance path: a client
-// that samples every request mints a trace context, the v3 wire carries
-// it to the broker, and the broker's trace ring ends up holding a span
-// with the client's trace ID and a full per-stage breakdown.
+// that samples every request mints a trace context, the frame's trace
+// flag carries it to the broker, and the broker's trace ring ends up
+// holding a span with the client's trace ID and a full per-stage
+// breakdown.
 func TestClientTraceReachesBroker(t *testing.T) {
 	brokerTel := telemetry.New()
 	brokers, _ := testBrokerCluster(t, 1, 2, func(i int, cfg *BrokerConfig) {
@@ -52,16 +35,7 @@ func TestClientTraceReachesBroker(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-
-	clientTel := telemetry.New()
-	clientTel.SetSampleEvery(1)
-	c, err := DialV2(ctx, brokers[0].Addr(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.setTelemetry(clientTel)
-	clientTel.SetSampleEvery(1)
+	c, clientTel := tracingClient(t, ctx, brokers[0].Addr())
 
 	if _, err := c.Write(ctx, 7, []byte("hello")); err != nil {
 		t.Fatal(err)
@@ -105,81 +79,68 @@ func TestClientTraceReachesBroker(t *testing.T) {
 	}
 }
 
-// TestV2ClientInterop pins backward compatibility: a client that offers
-// only protocol v2 negotiates v2 against an upgraded broker and its
-// suffix-free read bodies are still served.
-func TestV2ClientInterop(t *testing.T) {
-	brokers, _ := testBrokerCluster(t, 1, 2, nil)
-	if _, err := brokers[0].Write(3, []byte("payload")); err != nil {
+// TestTraceCrossesEveryLink pins trace continuity over every hop the frame
+// flag carries: one sampled client write must leave spans under the
+// client's trace ID on the origin broker, on a cache server and on the
+// peer broker it replicates to; one sampled read must leave spans on the
+// broker and on the cache server that served it.
+func TestTraceCrossesEveryLink(t *testing.T) {
+	brokerTel := telemetry.New()
+	brokers, _ := testBrokerCluster(t, 2, 2, func(i int, cfg *BrokerConfig) {
+		cfg.Telemetry = brokerTel
+		// Per-broker WALs, so the write is replicated to the peer.
+		cfg.Store = nil
+		cfg.DataDir = t.TempDir()
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, clientTel := tracingClient(t, ctx, brokers[0].Addr())
+
+	if _, err := c.Write(ctx, 7, []byte("hello")); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := c.Read(ctx, []uint32{7}); err != nil {
+		t.Fatal(err)
+	}
+	traceOf := make(map[string]string) // client op -> trace ID
+	for _, r := range clientTel.Traces(0) {
+		traceOf[r.Op] = r.TraceID
+	}
+	writeID, readID := traceOf["client.write"], traceOf["client.read"]
+	if writeID == "" || readID == "" {
+		t.Fatalf("client traces = %v, want client.write and client.read", traceOf)
 	}
 
-	conn, err := net.DialTimeout("tcp", brokers[0].Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	want := map[string]string{
+		"broker.write":      writeID,
+		"server.put":        writeID,
+		"broker.sync_write": writeID, // recorded by the peer broker
+		"broker.read":       readID,
+		"server.get":        readID,
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeFrame(conn, opHello, helloBody(protoV2)); err != nil {
-		t.Fatal(err)
-	}
-	msgType, body, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgType != respHello || len(body) < 1 || body[0] != protoV2 {
-		t.Fatalf("hello reply = (%d, %v), want v2 grant", msgType, body)
-	}
-
-	req, err := encodeReadRequest(protoV2, []uint32{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrameV2(conn, opRead, 1, req); err != nil {
-		t.Fatal(err)
-	}
-	respType, id, respBody, err := readFrameV2(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if respType != respRead || id != 1 {
-		t.Fatalf("read reply = (%d, %d, %q)", respType, id, respBody)
-	}
-	views, _, err := decodeReadResponse(protoV2, respBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(views) != 1 || len(views[0].Events) == 0 || string(views[0].Events[0]) != "payload" {
-		t.Errorf("v2 read returned %+v", views)
-	}
-}
-
-// TestV3RequiresTraceSuffix pins the flip side: once a connection has
-// negotiated v3, a read body without the mandatory trace suffix is a
-// protocol error, not a silently misparsed request.
-func TestV3RequiresTraceSuffix(t *testing.T) {
-	brokers, _ := testBrokerCluster(t, 1, 2, nil)
-	conn, err := net.DialTimeout("tcp", brokers[0].Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	version, err := clientHello(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version != protoV3 {
-		t.Fatalf("negotiated v%d, want v%d", version, protoV3)
-	}
-	if err := writeFrameV2(conn, opRead, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	respType, _, _, err := readFrameV2(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if respType != respError {
-		t.Errorf("suffix-free v3 read answered %d, want respError", respType)
+	// Peer replication runs in the background, so its span may land after
+	// the write returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		seen := make(map[string]bool)
+		// Cache servers record into the process-default node; brokers into
+		// brokerTel.
+		for _, r := range append(brokerTel.Traces(0), telemetry.Default().Traces(0)...) {
+			if want[r.Op] == r.TraceID {
+				seen[r.Op] = true
+			}
+		}
+		if len(seen) == len(want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			for op := range want {
+				if !seen[op] {
+					t.Errorf("no %s span under the client's trace ID", op)
+				}
+			}
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

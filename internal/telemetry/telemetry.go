@@ -1,9 +1,8 @@
 // Package telemetry is the cluster's stdlib-only observability layer:
 // sharded counters and fixed-bucket latency histograms with lock-free
 // record paths, a sampled tracing system whose 17-byte context rides
-// the wire protocol as a back-compatible trailer, and an HTTP ops
-// surface (Prometheus-text /metrics, /debug/traces, pprof) every
-// dynasore-node can expose.
+// each traced wire frame, and an HTTP ops surface (Prometheus-text
+// /metrics, /debug/traces, pprof) every dynasore-node can expose.
 //
 // Instruments are registered once (typically into struct fields at
 // construction time) and recorded lock-free thereafter; the registry

@@ -21,8 +21,8 @@ type TraceContext struct {
 }
 
 // FlagSampled marks a trace the minting client chose to record; nodes
-// only allocate spans for sampled traces, so an unsampled request
-// costs nothing beyond the trailer bytes.
+// only allocate spans for sampled traces, and only sampled requests put
+// a context on the wire at all.
 const FlagSampled = 0x01
 
 // TraceContextLen is the encoded size of a TraceContext:
@@ -36,9 +36,8 @@ func (tc TraceContext) Sampled() bool { return tc.Flags&FlagSampled != 0 }
 // serves and the slow-trace log emits, so the three surfaces grep alike.
 func (tc TraceContext) String() string { return fmt.Sprintf("%016x", tc.TraceID) }
 
-// AppendTraceContext appends the 17-byte wire encoding of tc to dst.
-// The layout is the trailer protocol v3 suffixes onto read/write
-// frames and v1 server/peer frames tolerate at their tails.
+// AppendTraceContext appends the 17-byte wire encoding of tc to dst —
+// the layout a traced frame carries behind its request ID.
 func AppendTraceContext(dst []byte, tc TraceContext) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, tc.TraceID)
 	dst = binary.BigEndian.AppendUint64(dst, tc.SpanID)

@@ -46,24 +46,24 @@ func WithDirectReads(maxLeases int) DialOption {
 	}
 }
 
-// Client is the network backend of Store: it speaks wire protocol v2 to a
-// remote broker, multiplexing concurrent requests over a small connection
+// Client is the network backend of Store: it speaks the cluster's wire
+// protocol to a remote broker, multiplexing concurrent requests over a small connection
 // pool, and splits large multi-user reads into concurrent batches.
 type Client struct {
-	c         *cluster.ClientV2
+	c         *cluster.Client
 	batchSize int
 }
 
 var _ Store = (*Client)(nil)
 
 // Dial connects to a broker (as started by ListenBroker, Open, or the
-// dynasore-node command) and negotiates protocol v2.
+// dynasore-node command) and performs the protocol hello.
 func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
 	cfg := dialConfig{batchSize: 256}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	c, err := cluster.DialV2(ctx, addr, cfg.poolSize)
+	c, err := cluster.Dial(ctx, addr, cfg.poolSize)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func (c *Client) Read(ctx context.Context, targets []uint32) ([]View, error) {
 		wg.Add(1)
 		go func(start, end int) {
 			defer wg.Done()
-			// ClientV2.Read guarantees len(views) == end-start on success,
+			// cluster.Client.Read guarantees len(views) == end-start on success,
 			// so the reassembly below cannot write out of range.
 			views, err := c.c.Read(ctx, targets[start:end])
 			if err != nil {

@@ -17,10 +17,10 @@ import (
 const endpointCooldown = time.Second
 
 // ClusterClient is the multi-endpoint network backend of Store: it talks
-// wire protocol v2 to every broker of a multi-broker cluster, spreading
-// reads round-robin across them, pinning each user's writes to a stable
-// broker (the cluster-side write proxy of §3.1, which also keeps one
-// broker sequencing each user's events), and failing over to the next
+// the cluster's wire protocol to every broker of a multi-broker cluster,
+// spreading reads round-robin across them, pinning each user's writes to
+// a stable broker (the cluster-side write proxy of §3.1, which also keeps
+// one broker sequencing each user's events), and failing over to the next
 // broker when one dies. Use DialCluster to create one.
 type ClusterClient struct {
 	endpoints []*endpoint
@@ -50,7 +50,7 @@ type ClusterClient struct {
 
 var _ Store = (*ClusterClient)(nil)
 
-// endpoint is one broker address with its lazily dialed v2 client and a
+// endpoint is one broker address with its lazily dialed client and a
 // cooldown after connection failures. The mutex is never held across a
 // dial: a slow or blackholed broker must not block the requests that
 // round-robin onto this endpoint — they see "dial in progress" and fail
@@ -59,7 +59,7 @@ type endpoint struct {
 	addr string
 
 	mu        sync.Mutex
-	c         *cluster.ClientV2
+	c         *cluster.Client
 	dialing   bool
 	closed    bool
 	downUntil time.Time
@@ -117,7 +117,7 @@ func DialCluster(ctx context.Context, addrs []string, opts ...DialOption) (*Clus
 // in cooldown after a recent failure, or with a dial already in flight, is
 // reported unreachable without blocking — callers fail over instead of
 // queueing behind a slow dial.
-func (e *endpoint) client(ctx context.Context, poolSize int) (*cluster.ClientV2, error) {
+func (e *endpoint) client(ctx context.Context, poolSize int) (*cluster.Client, error) {
 	e.mu.Lock()
 	if e.c != nil {
 		c := e.c
@@ -135,7 +135,7 @@ func (e *endpoint) client(ctx context.Context, poolSize int) (*cluster.ClientV2,
 	e.dialing = true
 	e.mu.Unlock()
 
-	c, err := cluster.DialV2(ctx, e.addr, poolSize)
+	c, err := cluster.Dial(ctx, e.addr, poolSize)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -174,7 +174,7 @@ func failover(err error) bool {
 
 // try runs op against up to len(endpoints) brokers, starting at start and
 // failing over on transport errors.
-func (c *ClusterClient) try(ctx context.Context, start int, op func(*cluster.ClientV2) error) error {
+func (c *ClusterClient) try(ctx context.Context, start int, op func(*cluster.Client) error) error {
 	if c.closed.Load() {
 		return errors.New("dynasore: cluster client is closed")
 	}
@@ -204,7 +204,7 @@ func (c *ClusterClient) try(ctx context.Context, start int, op func(*cluster.Cli
 func (c *ClusterClient) readChunk(ctx context.Context, targets []uint32) ([]View, error) {
 	var out []View
 	start := int(c.next.Add(1)) % len(c.endpoints)
-	err := c.try(ctx, start, func(cl *cluster.ClientV2) error {
+	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		views, err := cl.Read(ctx, targets)
 		if err != nil {
 			return err
@@ -301,7 +301,7 @@ func (c *ClusterClient) leaseAsync(user uint32) {
 		start := int(c.next.Add(1)) % len(c.endpoints)
 		// Failure is harmless: reads keep working through the broker, and
 		// the next miss re-arms the request.
-		_ = c.try(ctx, start, func(cl *cluster.ClientV2) error {
+		_ = c.try(ctx, start, func(cl *cluster.Client) error {
 			l, err := cl.Lease(ctx, user)
 			if err != nil {
 				return err
@@ -333,7 +333,7 @@ func (c *ClusterClient) Epoch() uint64 { return c.epoch.Load() }
 func (c *ClusterClient) Membership(ctx context.Context) (Membership, error) {
 	var out Membership
 	start := int(c.next.Add(1)) % len(c.endpoints)
-	err := c.try(ctx, start, func(cl *cluster.ClientV2) error {
+	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		info, err := cl.Membership(ctx)
 		if err != nil {
 			return err
@@ -353,7 +353,7 @@ func (c *ClusterClient) Membership(ctx context.Context) (Membership, error) {
 // reachable broker (forwarded to the leader) and returns the new
 // membership.
 func (c *ClusterClient) AddServer(ctx context.Context, addr string, pos Position, capacity int) (Membership, error) {
-	return c.adminOp(ctx, func(cl *cluster.ClientV2) (cluster.MembershipInfo, error) {
+	return c.adminOp(ctx, func(cl *cluster.Client) (cluster.MembershipInfo, error) {
 		return cl.AddServer(ctx, membership.ServerInfo{
 			Addr: addr, Zone: pos.Zone, Rack: pos.Rack, Capacity: capacity,
 		})
@@ -362,24 +362,24 @@ func (c *ClusterClient) AddServer(ctx context.Context, addr string, pos Position
 
 // DrainServer starts decommissioning the cache server at addr.
 func (c *ClusterClient) DrainServer(ctx context.Context, addr string) (Membership, error) {
-	return c.adminOp(ctx, func(cl *cluster.ClientV2) (cluster.MembershipInfo, error) {
+	return c.adminOp(ctx, func(cl *cluster.Client) (cluster.MembershipInfo, error) {
 		return cl.DrainServer(ctx, addr)
 	})
 }
 
 // RemoveServer retires the cache server at addr from the cluster.
 func (c *ClusterClient) RemoveServer(ctx context.Context, addr string) (Membership, error) {
-	return c.adminOp(ctx, func(cl *cluster.ClientV2) (cluster.MembershipInfo, error) {
+	return c.adminOp(ctx, func(cl *cluster.Client) (cluster.MembershipInfo, error) {
 		return cl.RemoveServer(ctx, addr)
 	})
 }
 
 var _ Admin = (*ClusterClient)(nil)
 
-func (c *ClusterClient) adminOp(ctx context.Context, op func(*cluster.ClientV2) (cluster.MembershipInfo, error)) (Membership, error) {
+func (c *ClusterClient) adminOp(ctx context.Context, op func(*cluster.Client) (cluster.MembershipInfo, error)) (Membership, error) {
 	var out Membership
 	start := int(c.next.Add(1)) % len(c.endpoints)
-	err := c.try(ctx, start, func(cl *cluster.ClientV2) error {
+	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		info, err := op(cl)
 		if err != nil {
 			return err
@@ -480,7 +480,7 @@ func (c *ClusterClient) brokerRead(ctx context.Context, targets []uint32) ([]Vie
 func (c *ClusterClient) Write(ctx context.Context, user uint32, payload []byte) (uint64, error) {
 	var seq uint64
 	start := int(user*2654435761>>16) % len(c.endpoints)
-	err := c.try(ctx, start, func(cl *cluster.ClientV2) error {
+	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		var err error
 		seq, err = cl.Write(ctx, user, payload)
 		if err == nil {

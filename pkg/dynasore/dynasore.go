@@ -7,17 +7,17 @@
 //   - Engine (see Open) runs a whole cluster — cache servers, a broker, and
 //     its WAL-backed persistent store — inside the calling process, for
 //     embedding and tests.
-//   - Client (see Dial) talks to a remote broker over wire protocol v2: a
-//     versioned handshake plus per-request IDs let many requests multiplex
-//     concurrently over each pooled connection, instead of the one
-//     serialized request per connection of the legacy v1 client.
+//   - Client (see Dial) talks to a remote broker over the cluster's one
+//     wire protocol: a versioned hello plus per-request IDs let many
+//     requests multiplex concurrently over each pooled connection, and a
+//     sampled request's trace context rides its frame.
 //   - ClusterClient (see DialCluster) talks to every broker of a
 //     multi-broker cluster: reads round-robin across brokers, each user's
 //     writes stick to one broker, and requests fail over when a broker
 //     dies.
 //
 // Server-side nodes for standalone deployments are started with
-// ListenCacheServer and ListenBroker; both serve v1 and v2 clients. A
+// ListenCacheServer and ListenBroker; both speak the same protocol. A
 // multi-broker cluster — the paper's one-broker-per-front-end-cluster
 // deployment — is a set of ListenBroker nodes given the same Peers list:
 // they share the cache servers and placement state, elect the

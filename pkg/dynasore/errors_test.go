@@ -9,7 +9,7 @@ import (
 )
 
 // Admin errors must keep their sentinel identity through the whole network
-// stack — broker dispatch, respError encoding, the v2 client — so callers
+// stack — broker dispatch, respError encoding, the network client — so callers
 // (the HTTP gateway's status mapping above all) can classify them with
 // errors.Is instead of matching on error text.
 func TestAdminSentinelsSurviveTheWire(t *testing.T) {

@@ -136,8 +136,8 @@ type BrokerConfig struct {
 	WALSyncEvery int
 }
 
-// Broker is one standalone broker node: it serves the Read/Write API to v1
-// and v2 clients, persists writes to its WAL, and drives replica placement
+// Broker is one standalone broker node: it serves the Read/Write API to
+// network clients, persists writes to its WAL, and drives replica placement
 // across its cache servers with the shared DynaSoRe policy (§3). In a
 // multi-broker cluster (Peers) it additionally pings its peers, takes part
 // in leader election, and keeps its placement table synced.
