@@ -292,9 +292,12 @@ func TestAbandonedReplicaEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The pass unlinks the replica first and deletes the server's copy and
+	// counts the eviction after, so wait for all three.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if b.ReplicaCount(flash) == 1 {
+		_, still := servers[0].lookup(flash)
+		if b.ReplicaCount(flash) == 1 && !still && b.Stats().Evicted > 0 {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)

@@ -212,6 +212,13 @@ func TestElasticMembershipAcceptance(t *testing.T) {
 	if finalEpoch != 5 {
 		t.Fatalf("final epoch = %d, want 5", finalEpoch)
 	}
+	// Broker 2 logs each transition from an asynchronous sync write; the
+	// last one must be in its log before the kill, or nothing is there to
+	// recover it from.
+	last := brokers[0].store.Version(membership.ReservedUser)
+	waitFor(t, 5*time.Second, "broker 2 logs the final transition", func() bool {
+		return storeHolds(brokers[2].store, membership.ReservedUser, last)
+	})
 	closeBroker(2)
 	ln, err := net.Listen("tcp", peers[2].Addr)
 	if err != nil {

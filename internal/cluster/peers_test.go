@@ -333,11 +333,14 @@ func TestWriteReplicationAcrossBrokerWALs(t *testing.T) {
 	}
 	// The replicated event lands in broker 1's own WAL (asynchronously).
 	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && brokers[1].store.Version(7) < seq {
+	for time.Now().Before(deadline) && !storeHolds(brokers[1].store, 7, seq) {
 		time.Sleep(10 * time.Millisecond)
 	}
+	if !storeHolds(brokers[1].store, 7, seq) {
+		t.Fatalf("broker 1 store lacks record %d (write not replicated)", seq)
+	}
 	if got := brokers[1].store.Version(7); got < seq {
-		t.Fatalf("broker 1 store version = %d, want >= %d (write not replicated)", got, seq)
+		t.Fatalf("broker 1 store version = %d, want >= %d", got, seq)
 	}
 	// Total cache loss: broker 1 must rebuild the view from its own log.
 	s.drop(7)

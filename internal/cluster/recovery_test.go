@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,6 +28,72 @@ func listenOn(t *testing.T, addr string) net.Listener {
 	}
 }
 
+// standIn holds a stopped broker's address until the test restarts it:
+// every connection gets the hello, then respError for each request, and
+// the sync writes among them are counted, so a test can wait until a
+// batch sent during an outage has failed for good instead of reaching the
+// restarted broker late.
+func standIn(t *testing.T, addr string) *refusals {
+	t.Helper()
+	r := &refusals{ln: listenOn(t, addr), conns: map[net.Conn]bool{}}
+	go func() {
+		for {
+			conn, err := r.ln.Accept()
+			if err != nil {
+				return
+			}
+			r.mu.Lock()
+			if r.closed {
+				r.mu.Unlock()
+				conn.Close()
+				return
+			}
+			r.conns[conn] = true
+			r.mu.Unlock()
+			go serveFrames(conn, func(_ telemetry.TraceContext, msgType uint8, body []byte) (uint8, []byte) {
+				if msgType == opSyncWrite {
+					r.mu.Lock()
+					r.syncWrites++
+					r.mu.Unlock()
+				}
+				return respError, errorBody("broker down")
+			})
+		}
+	}()
+	t.Cleanup(r.close)
+	return r
+}
+
+type refusals struct {
+	ln         net.Listener
+	mu         sync.Mutex
+	conns      map[net.Conn]bool
+	closed     bool
+	syncWrites int
+}
+
+// await waits until n sync writes were refused, then releases the address
+// and drops every connection, so the senders redial the restarted broker.
+func (r *refusals) await(t *testing.T, n int) {
+	t.Helper()
+	waitFor(t, 5*time.Second, fmt.Sprintf("%d sync writes refused", n), func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.syncWrites >= n
+	})
+	r.close()
+}
+
+func (r *refusals) close() {
+	r.ln.Close()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = true
+	for conn := range r.conns {
+		conn.Close()
+	}
+}
+
 // sameStoreViews reports whether two stores hold identical views and
 // versions for every user in [0, users).
 func sameStoreViews(a, b *wal.ViewStore, users int) (string, bool) {
@@ -47,6 +114,20 @@ func sameStoreViews(a, b *wal.ViewStore, users int) (string, bool) {
 		}
 	}
 	return "", true
+}
+
+// storeHolds reports whether vs holds the record with sequence number seq
+// in user's view. Waits use it rather than the view's version: a store's
+// first sequence number is 0, so for that record a version check cannot
+// tell it from no record at all.
+func storeHolds(vs *wal.ViewStore, user uint32, seq uint64) bool {
+	recs, _ := vs.View(user)
+	for _, r := range recs {
+		if r.Seq == seq {
+			return true
+		}
+	}
+	return false
 }
 
 // TestBrokerRestartFromCheckpoint verifies the broker-level recovery path:
@@ -193,12 +274,17 @@ func TestPeerCatchUpAfterRestart(t *testing.T) {
 		diff, _ := sameStoreViews(a.store, b.store, users)
 		t.Fatalf("%s: stores did not converge: %s", what, diff)
 	}
+	// Broker 2 must hold all of phase 1 before it goes down, so that what
+	// it misses is exactly phase 2's batch: each survivor holds all of its
+	// own events, so converging with both means holding every origin's.
 	waitConverged(brokers[0], brokers[2], "pre-outage")
+	waitConverged(brokers[1], brokers[2], "pre-outage")
 
 	// Phase 2: broker 2 goes down and misses a batch of writes.
 	if err := brokers[2].Close(); err != nil {
 		t.Fatal(err)
 	}
+	refused := standIn(t, peers[2].Addr)
 	const missedPerBroker = 3
 	missed := 0
 	for _, bi := range []int{0, 1} {
@@ -209,6 +295,9 @@ func TestPeerCatchUpAfterRestart(t *testing.T) {
 			missed++
 		}
 	}
+	// Broker 2 must really miss the batch: every sync write sent to it has
+	// to be refused before it is back, or a late one reaches it live.
+	refused.await(t, missed)
 
 	// Phase 3: broker 2 rejoins on its old address and data directory.
 	// No user writes anything anymore — catch-up must do all the work.
@@ -288,16 +377,21 @@ func TestCatchUpConvergesPastUnservableGap(t *testing.T) {
 	}
 
 	// Pre-outage: one origin-0 write everyone has.
-	if _, err := brokers[0].Write(1, []byte("pre")); err != nil {
+	pre, err := brokers[0].Write(1, []byte("pre"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && brokers[2].store.Version(1) == 0 {
+	for time.Now().Before(deadline) && !storeHolds(brokers[2].store, 1, pre) {
 		time.Sleep(10 * time.Millisecond)
+	}
+	if !storeHolds(brokers[2].store, 1, pre) {
+		t.Fatal("pre-outage write never reached broker 2")
 	}
 	if err := brokers[2].Close(); err != nil {
 		t.Fatal(err)
 	}
+	refused := standIn(t, peers[2].Addr)
 
 	// During the outage, broker 0 writes twice and broker 1 three times —
 	// user 1's capped view ends up holding only broker 1's two newest
@@ -312,6 +406,7 @@ func TestCatchUpConvergesPastUnservableGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	refused.await(t, 5)
 
 	brokers[2] = mkBroker(2, listenOn(t, peers[2].Addr))
 	t.Cleanup(func() { brokers[2].Close() })
