@@ -143,7 +143,7 @@ func TestFeedTargetsCapAndFallback(t *testing.T) {
 }
 
 // The -gateway mode drives a real dsgate surface end to end and reports
-// under the gateway bench names — the series BENCH_PR9.json archives.
+// under the gateway bench names — the series BENCH.json archives.
 func TestRunGatewayMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots an in-process cluster")

@@ -89,7 +89,7 @@ func main() {
 		peersFlag   = flag.String("peers", "", "comma-separated addresses of every broker of the cluster, including this one (multi-broker)")
 		peersPos    = flag.String("peers-pos", "", "comma-separated zone:rack position per peer broker (required with -peers; identical on every broker)")
 		self        = flag.Int("self", 0, "this broker's index in -peers")
-		syncEvery   = flag.Duration("sync-every", 0, "peer-sync interval: pings, election, placement sync (0: default 1s)")
+		syncEvery   = flag.Duration("sync-every", 0, "peer-sync interval: probes, election, placement sync (0: default 1s)")
 		ckptEvery   = flag.Duration("checkpoint-every", 0, "checkpoint the persistent store at this interval so restarts replay only the WAL tail (0: disabled)")
 		compact     = flag.Int("compact", 0, "delete WAL segments once this many are fully covered by a checkpoint (0: keep all; needs -checkpoint-every)")
 		join        = flag.String("join", "", "broker address to register this cache server with, joining a running cluster (server role)")

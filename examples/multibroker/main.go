@@ -113,8 +113,8 @@ func run() error {
 	fmt.Printf("read %d views through the cluster client\n", len(views))
 
 	// Hammer one user through the zone-2 broker only: its access reports
-	// make the leader replicate the view into zone 2, and the delta
-	// broadcast converges every broker's placement table. Pick a user
+	// make the leader replicate the view into zone 2, and the placement
+	// push converges every broker's placement table. Pick a user
 	// homed outside zone 2 (homes are rendezvous-hashed, not modulo).
 	hot := uint32(0)
 	for brokers[0].HomeOf(hot)%3 == 2 {

@@ -62,16 +62,17 @@ type BrokerConfig struct {
 	// Peers lists every broker of the cluster — including this one — in a
 	// fixed cluster-wide order shared by all brokers; Peers[Self] describes
 	// this broker and its Pos overrides Placement.Broker. Empty means a
-	// single-broker cluster. Brokers ping each other, elect the
+	// single-broker cluster. Brokers probe each other with a WAL cursor
+	// exchange (which also pulls missed log records), elect the
 	// smallest-position peer as the placement-policy leader, and keep their
-	// replica-set tables converged through delta broadcasts and periodic
+	// replica-set tables converged through batch pushes and periodic
 	// anti-entropy pulls.
 	Peers []PeerInfo
 	// Self is this broker's index in Peers.
 	Self int
-	// SyncEvery is the interval of the peer-sync pass: liveness pings,
-	// leader election, access-report push, and anti-entropy pull
-	// (default 1s).
+	// SyncEvery is the interval of the peer-sync pass: cursor-exchange
+	// probes (liveness and WAL catch-up), leader election, access-report
+	// push, and anti-entropy pulls (default 1s).
 	SyncEvery time.Duration
 	// Store, when non-nil, is the cluster's shared persistent store: the
 	// broker appends to it instead of opening DataDir and does not close
@@ -193,7 +194,7 @@ func defaultPlacement(preferred, servers int) *Placement {
 // broker's pointer, so the read and write paths grab one consistent table
 // per operation with no locking. Slot indices are stable across epochs
 // (removed servers leave dead tombstone slots), which keeps replica sets,
-// placement deltas, and access reports valid across the swap; per-slot
+// placement pushes, and access reports valid across the swap; per-slot
 // load counters are shared between consecutive tables for the same
 // reason.
 type serverTable struct {
@@ -292,8 +293,8 @@ type brokerShard struct {
 // broker-per-front-end-cluster — while one elected leader (the alive peer
 // with the smallest position) runs the placement policy over the whole
 // cluster's traffic: followers push access reports to it, it pushes
-// replica-set deltas back, and periodic anti-entropy pulls repair anything
-// a lost delta left behind.
+// replica-set batches back, and periodic anti-entropy pulls repair anything
+// a lost push left behind. Membership transitions travel as WAL records.
 type Broker struct {
 	cfg      BrokerConfig
 	store    *wal.ViewStore
@@ -523,7 +524,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 			continue
 		}
 		ps := &peerState{idx: i, info: p, conn: newServerConnTimeout(p.Addr, peerTimeout(cfg.SyncEvery))}
-		ps.alive.Store(true) // optimistic until the first ping round
+		ps.alive.Store(true) // optimistic until the first probe round
 		b.peers[i] = ps
 	}
 	b.elect()
@@ -810,9 +811,10 @@ func (b *Broker) RemoveServer(addr string) (membership.View, error) {
 }
 
 // commitViewLocked drives one membership transition through the full
-// pipeline: WAL record first (durability), replication to peer logs,
-// local install, delta broadcast, and a maintenance kick so homes
-// rebalance and drains start without waiting for the next policy tick.
+// pipeline: WAL record first (durability), replication to peer logs (the
+// record is the push: a follower installs it as it applies the sync write),
+// local install, and a maintenance kick so homes rebalance and drains start
+// without waiting for the next policy tick.
 // Caller holds membMu and has verified leadership.
 func (b *Broker) commitViewLocked(next membership.View) (membership.View, error) {
 	old := b.table().view
@@ -828,13 +830,12 @@ func (b *Broker) commitViewLocked(next membership.View) (membership.View, error)
 	if err := b.installLocked(next); err != nil {
 		return membership.View{}, err
 	}
-	b.broadcastMembership(payload)
 	b.kickMaintenance(old, next)
 	return next, nil
 }
 
 // applyMembershipPayload installs a membership view received from a peer
-// (delta broadcast, anti-entropy pull, WAL replication, or catch-up) if
+// (WAL replication, catch-up, or the periodic leader pull) if
 // its epoch is newer than the one this broker holds. Malformed or stale
 // payloads are ignored — the sender's next anti-entropy round repairs any
 // real gap.
@@ -864,20 +865,12 @@ func (b *Broker) kickMaintenance(oldView, newView membership.View) {
 	if !b.IsLeader() {
 		return
 	}
-	b.bgMu.Lock()
-	if b.bgDone {
-		b.bgMu.Unlock()
-		return
-	}
-	b.bg.Add(1)
-	b.bgMu.Unlock()
-	go func() {
-		defer b.bg.Done()
+	b.spawn(func() {
 		b.rebalanceMu.Lock()
 		defer b.rebalanceMu.Unlock()
 		b.rebalanceHomes(oldView, newView)
 		b.drainOnce(time.Now().Unix())
-	}()
+	})
 }
 
 // rebalanceHomes migrates the views whose rendezvous home changed between
@@ -922,7 +915,7 @@ func (b *Broker) rebalanceHomes(oldView, newView membership.View) {
 		}
 	}
 	// One batched frame per peer instead of a per-user broadcast burst.
-	b.broadcastPlacementBatch(changed)
+	b.broadcastPlacement(changed...)
 }
 
 // drainOnce advances every draining server's decommissioning by one pass:
@@ -961,12 +954,12 @@ func (b *Broker) drainOnce(now int64) {
 				}
 				continue
 			}
-			if b.removeReplicaQuiet(r.user, idx) {
+			if b.removeReplica(r.user, idx) {
 				b.evicted.Add(1)
 				changed = append(changed, r.user)
 			}
 		}
-		b.broadcastPlacementBatch(changed)
+		b.broadcastPlacement(changed...)
 	}
 }
 
@@ -1267,21 +1260,13 @@ func (b *Broker) leaseFor(user uint32) (Lease, error) {
 // Best-effort: a server that misses the push stays fenced — it refuses
 // direct reads, never misserves them — and the next put repairs it.
 func (b *Broker) pushEpochAll(t *serverTable) {
-	b.bgMu.Lock()
-	if b.bgDone {
-		b.bgMu.Unlock()
-		return
-	}
-	b.bg.Add(1)
-	b.bgMu.Unlock()
-	go func() {
-		defer b.bg.Done()
+	b.spawn(func() {
 		for idx := range t.conns {
 			if conn := t.conn(idx); conn != nil {
 				_ = conn.pushEpoch(t.view.Epoch)
 			}
 		}
-	}()
+	})
 }
 
 // readRepair re-installs user's view on a replica that failed to serve a
@@ -1289,17 +1274,7 @@ func (b *Broker) pushEpochAll(t *serverTable) {
 // cold copy is fixed at read time instead of waiting for a policy tick.
 // Runs in the background, tracked so Close waits for it.
 func (b *Broker) readRepair(user uint32, idx int, v View) {
-	b.bgMu.Lock()
-	if b.bgDone {
-		b.bgMu.Unlock()
-		return
-	}
-	b.bg.Add(1)
-	b.bgMu.Unlock()
-	go func() {
-		defer b.bg.Done()
-		b.readdReplica(user, idx, v)
-	}()
+	b.spawn(func() { b.readdReplica(user, idx, v) })
 }
 
 // readdReplica probes server idx with the already-served view and, if the
@@ -1335,12 +1310,12 @@ func (b *Broker) readdReplica(user uint32, idx int, v View) bool {
 	t.load[idx].Add(1)
 	pv := meta.pv
 	sh.mu.Unlock()
-	if err := conn.putView(user, b.currentView(user), t.view.Epoch, pv, telemetry.TraceContext{}); err != nil {
+	added := conn.putView(user, b.currentView(user), t.view.Epoch, pv, telemetry.TraceContext{}) == nil
+	if !added {
 		b.removeReplica(user, idx)
-		return false
 	}
 	b.broadcastPlacement(user)
-	return true
+	return added
 }
 
 // rehomeStranded deletes user's placement entry when none of its replicas
@@ -1529,10 +1504,13 @@ func (b *Broker) applyDecision(now int64, user uint32, serving int, d viewpolicy
 	case viewpolicy.OpCreate:
 		b.applyCreate(now, user, d)
 	case viewpolicy.OpMigrate:
-		b.applyMigrate(now, user, serving, d)
+		if b.migrateReplica(now, user, serving, d) {
+			b.broadcastPlacement(user)
+		}
 	case viewpolicy.OpRemove:
 		if b.removeReplica(user, b.serverIdxOf(d.Target)) {
 			b.evicted.Add(1)
+			b.broadcastPlacement(user)
 		}
 	}
 }
@@ -1572,33 +1550,23 @@ func (b *Broker) applyCreate(now int64, user uint32, d viewpolicy.Decision) {
 	pv := meta.pv
 	sh.mu.Unlock()
 
-	conn := t.conn(target)
-	if conn == nil {
-		b.removeReplica(user, target)
-		return
-	}
 	// Seed the new replica with the freshest provable view, not the store
 	// view alone — an existing replica can hold an acknowledged write whose
 	// peer sync is still in flight, and the new copy must not serve an
-	// older view than the copies it joins.
-	fv := b.freshestView(t, user, existing)
-	if err := conn.putView(user, fv, t.view.Epoch, pv, telemetry.TraceContext{}); err != nil {
+	// older view than the copies it joins. A copy that cannot be seeded
+	// leaves the set again.
+	if conn := t.conn(target); conn == nil ||
+		conn.putView(user, b.freshestView(t, user, existing), t.view.Epoch, pv, telemetry.TraceContext{}) != nil {
 		b.removeReplica(user, target)
-		return
+	} else {
+		b.replicated.Add(1)
 	}
-	b.replicated.Add(1)
 	b.broadcastPlacement(user)
 }
 
-func (b *Broker) applyMigrate(now int64, user uint32, source int, d viewpolicy.Decision) {
-	if b.migrateReplica(now, user, source, d) {
-		b.broadcastPlacement(user)
-	}
-}
-
 // migrateReplica moves one replica without notifying peers; it reports
-// whether the replica set changed, so bulk callers (rebalance, drain) can
-// batch the notifications into one frame per peer.
+// whether the replica set changed, so the caller pushes the outcome (bulk
+// callers, rebalance and drain, batch it into one frame per peer).
 func (b *Broker) migrateReplica(now int64, user uint32, source int, d viewpolicy.Decision) bool {
 	t := b.table()
 	target := b.serverIdxOf(d.Target)
@@ -1680,6 +1648,7 @@ func (b *Broker) evictWeakestOn(t *serverTable, now int64, idx int, bar float64)
 	if !found || worst >= bar || !b.removeReplica(victim, idx) {
 		return false
 	}
+	b.broadcastPlacement(victim)
 	b.evicted.Add(1)
 	b.polMu.Lock()
 	b.evictFloor[at] = worst
@@ -1689,18 +1658,8 @@ func (b *Broker) evictWeakestOn(t *serverTable, now int64, idx int, bar float64)
 
 // removeReplica drops server idx from user's replica set (never the last
 // copy) and deletes the cached view. It reports whether a replica was
-// removed.
+// removed; the caller pushes the new set to peers.
 func (b *Broker) removeReplica(user uint32, idx int) bool {
-	if !b.removeReplicaQuiet(user, idx) {
-		return false
-	}
-	b.broadcastPlacement(user)
-	return true
-}
-
-// removeReplicaQuiet is removeReplica without the peer notification, for
-// bulk passes that batch their deltas.
-func (b *Broker) removeReplicaQuiet(user uint32, idx int) bool {
 	t := b.table()
 	sh := b.shard(user)
 	sh.mu.Lock()
@@ -1903,11 +1862,14 @@ func (b *Broker) maintainOnce(now int64) {
 		thresholds[m] = plan.Threshold
 		floors[m] = plan.EvictFloor
 	}
+	var changed []uint32
 	for _, r := range drops {
 		if b.removeReplica(r.user, r.idx) {
 			b.evicted.Add(1)
+			changed = append(changed, r.user)
 		}
 	}
+	b.broadcastPlacement(changed...)
 	b.polMu.Lock()
 	copy(b.thresholds, thresholds)
 	copy(b.evictFloor, floors)
@@ -2029,19 +1991,6 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 			return respError, errorBodyFor(err)
 		}
 		return respLease, appendLeaseGrant(nil, l)
-	case opPeerHello:
-		sender, err := decodePeerHello(body)
-		if err != nil || int(sender) >= b.nBrokers {
-			return respError, errorBody("bad peer hello")
-		}
-		return respOK, nil
-	case opPlacementDelta:
-		e, _, err := decodePlacementEntry(body)
-		if err != nil {
-			return respError, errorBody("bad placement delta: " + err.Error())
-		}
-		b.applyPlacementEntry(e.user, e.order)
-		return respOK, nil
 	case opPlacementPull:
 		return respPlacement, encodePlacementTable(b.placementEntries())
 	case opPlacementBatch:
@@ -2066,11 +2015,8 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 			return respError, errorBody("bad sync write")
 		}
 		return b.applySyncWrite(user, seq, at, payload, tc)
-	case opMembershipGet, opMembershipPull:
+	case opMembershipGet:
 		return respMembership, encodeMembershipInfo(b.Membership())
-	case opMembershipDelta:
-		b.applyMembershipPayload(body)
-		return respOK, nil
 	case opServerAdd, opServerDrain, opServerRemove:
 		return b.handleAdmin(msgType, body)
 	case opViewPull:

@@ -15,20 +15,22 @@ import (
 // traffic, while replica placement is coordinated across the tree. Here
 // that split is: every broker serves reads and writes from its own
 // topology position; placement metadata (replica sets) is replicated state
-// kept converged by delta broadcasts plus periodic anti-entropy pulls; and
+// kept converged by batch pushes plus periodic anti-entropy pulls; and
 // the placement policy itself runs on a single elected leader — the alive
 // broker with the smallest position — fed by the followers' access
 // reports, so Algorithm 2 weighs every front-end cluster's traffic, not
-// just the leader's.
+// just the leader's. Liveness, WAL catch-up and membership ride the log:
+// one cursor exchange per peer per round is both the liveness probe and
+// the start of catch-up, and a membership transition is a WAL record.
 
-// peerDeathThreshold is how many consecutive failed pings mark a peer
+// peerDeathThreshold is how many consecutive failed probes mark a peer
 // dead. One blip is forgiven; two sync intervals of silence trigger
 // re-election.
 const peerDeathThreshold = 2
 
 // placementPullEvery is how many sync rounds pass between anti-entropy
-// pulls of the leader's full placement table. Delta broadcasts cover the
-// steady state; the periodic pull only repairs lost deltas, so it does not
+// pulls of the leader's full placement table. Batch pushes cover the
+// steady state; the periodic pull only repairs lost pushes, so it does not
 // need to run — and cost O(users) — every round.
 const placementPullEvery = 5
 
@@ -59,13 +61,12 @@ const (
 // peerState tracks one remote broker of the cluster: its configuration,
 // a pooled connection, and liveness as observed by this broker.
 type peerState struct {
-	idx      int
-	info     PeerInfo
-	conn     *serverConn
-	alive    atomic.Bool
-	misses   atomic.Int32
-	pinging  atomic.Bool
-	catching atomic.Bool
+	idx     int
+	info    PeerInfo
+	conn    *serverConn
+	alive   atomic.Bool
+	misses  atomic.Int32
+	probing atomic.Bool
 }
 
 // IsLeader reports whether this broker currently runs the placement
@@ -128,50 +129,34 @@ func (b *Broker) syncLoop() {
 	}
 }
 
-// syncOnce is one peer-sync pass: fire a liveness ping at every peer,
-// re-elect from the current liveness observations, then either discard the
-// follower-era report buffer (leader) or push the buffered access
-// aggregates to the leader and periodically pull its placement table
-// (follower). Pings run detached — the round never waits for them, so a
-// hung or partitioned peer cannot stall the very loop that exists to
-// detect it; its eventual timeout (bounded by the peer I/O timeout) feeds
-// the next round's election instead. The pull is the anti-entropy half of
-// placement sync: deltas lost to a dead connection are repaired within a
-// few sync intervals.
+// syncOnce is one peer-sync pass: probe every peer with the cursor
+// exchange (see probe), re-elect from the current liveness observations,
+// then either discard the follower-era report buffer (leader) or push the
+// buffered access aggregates to the leader and periodically pull its
+// placement table and membership view (follower). Probes run detached —
+// the round never waits for them, so a hung or partitioned peer cannot
+// stall the very loop that exists to detect it; its eventual timeout
+// (bounded by the peer I/O timeout) feeds the next round's election
+// instead. The pulls are the anti-entropy backstop: placement pushes and
+// membership records lost to a dead connection are repaired within a few
+// sync intervals.
 func (b *Broker) syncOnce() {
 	for _, p := range b.peers {
-		if p == nil || !p.pinging.CompareAndSwap(false, true) {
-			// At most one ping in flight per peer: a ping still running a
-			// whole round later is itself evidence the peer is in trouble,
-			// and its timeout will record the miss.
+		// At most one probe in flight per peer: a probe still running a
+		// whole round later is itself evidence the peer is in trouble,
+		// and its timeout will record the miss.
+		if p == nil || !p.probing.CompareAndSwap(false, true) {
 			continue
 		}
-		b.bgMu.Lock()
-		if b.bgDone {
-			b.bgMu.Unlock()
-			p.pinging.Store(false)
+		if !b.spawn(func() {
+			defer p.probing.Store(false)
+			b.probe(p)
+		}) {
+			p.probing.Store(false)
 			return
 		}
-		b.bg.Add(1)
-		b.bgMu.Unlock()
-		go func(p *peerState) {
-			defer b.bg.Done()
-			defer p.pinging.Store(false)
-			respType, _, err := p.conn.roundTrip(opPeerHello, encodePeerHello(uint32(b.selfIdx)))
-			if err != nil || respType != respOK {
-				if p.misses.Add(1) >= peerDeathThreshold {
-					p.alive.Store(false)
-				}
-				return
-			}
-			p.misses.Store(0)
-			p.alive.Store(true)
-		}(p)
 	}
 	b.elect()
-	if b.ownWAL {
-		b.syncWALs()
-	}
 	if b.IsLeader() {
 		// Anything buffered while following is already in this broker's own
 		// access logs; reporting it to itself would double-count.
@@ -193,26 +178,15 @@ func (b *Broker) syncOnce() {
 }
 
 // pullMembership fetches the leader's current membership view — the
-// anti-entropy half of membership sync, repairing delta broadcasts lost
-// while this broker or a connection was down. Stale and malformed views
-// are ignored by the installer.
+// backstop for a transition record this broker missed while it or a
+// connection was down. Stale and malformed views are ignored by the
+// installer.
 func (b *Broker) pullMembership(leader *peerState) {
-	respType, body, err := leader.conn.roundTrip(opMembershipPull, nil)
+	respType, body, err := leader.conn.roundTrip(opMembershipGet, nil)
 	if err != nil || respType != respMembership {
 		return
 	}
 	b.applyMembershipPayload(body)
-}
-
-// broadcastMembership pushes an encoded membership view to every peer —
-// even ones currently marked dead, exactly like WAL replication: a
-// mislabeled but reachable peer must not keep serving under a retired
-// epoch. Peers that truly missed it recover via pullMembership or WAL
-// catch-up.
-func (b *Broker) broadcastMembership(payload []byte) {
-	b.broadcast(true, func(p *peerState) {
-		_, _, _ = p.conn.roundTrip(opMembershipDelta, payload)
-	})
 }
 
 // noteRead buffers one locally served read for the next access report:
@@ -308,7 +282,7 @@ func (b *Broker) applyAccessReport(sender int, reads []reportRead, writes []repo
 }
 
 // pullPlacement fetches the leader's full placement table and merges it —
-// the periodic anti-entropy pass that repairs deltas lost while a
+// the periodic anti-entropy pass that repairs pushes lost while a
 // connection or broker was down.
 func (b *Broker) pullPlacement(leader *peerState) {
 	respType, body, err := leader.conn.roundTrip(opPlacementPull, nil)
@@ -343,8 +317,8 @@ func (b *Broker) placementEntries() []placementEntry {
 // version of it: replicas the peer no longer lists are dropped, new ones
 // gain fresh bookkeeping (their access history lives where the reads
 // happen), and access logs of replicas present in both survive. Applying
-// the same entry twice is a no-op, which makes both the delta broadcast
-// and the anti-entropy pull idempotent.
+// the same entry twice is a no-op, which makes both the batch push and
+// the anti-entropy pull idempotent.
 func (b *Broker) applyPlacementEntry(user uint32, order []int) {
 	t := b.table()
 	clean := make([]int, 0, len(order))
@@ -352,7 +326,7 @@ func (b *Broker) applyPlacementEntry(user uint32, order []int) {
 	for _, idx := range order {
 		// Indices beyond this broker's table belong to a membership epoch
 		// it has not installed yet, and nil-connection indices are dead
-		// tombstones (a delayed delta racing the membership change that
+		// tombstones (a delayed push racing the membership change that
 		// retired the slot); both are dropped here and repaired by the
 		// next anti-entropy pull, after the epoch settles.
 		if idx < 0 || idx >= len(t.conns) || t.conns[idx] == nil || seen[idx] {
@@ -391,6 +365,23 @@ func (b *Broker) applyPlacementEntry(user uint32, order []int) {
 	meta.order = append(meta.order[:0], clean...)
 }
 
+// spawn runs fn in the background, tracked so Close waits for it. Once
+// Close has started it refuses (and reports false), so nothing is added to
+// the barrier Close is waiting on.
+func (b *Broker) spawn(fn func()) bool {
+	b.bgMu.Lock()
+	defer b.bgMu.Unlock()
+	if b.bgDone {
+		return false
+	}
+	b.bg.Add(1)
+	go func() {
+		defer b.bg.Done()
+		fn()
+	}()
+	return true
+}
+
 // broadcast runs fn against every peer in the background, tracked so Close
 // can wait for in-flight sends. Peers currently marked dead are skipped
 // unless includeDead is set. Best-effort by design; every round trip is
@@ -403,46 +394,21 @@ func (b *Broker) broadcast(includeDead bool, fn func(p *peerState)) {
 		if p == nil || (!includeDead && !p.alive.Load()) {
 			continue
 		}
-		b.bgMu.Lock()
-		if b.bgDone {
-			b.bgMu.Unlock()
+		if !b.spawn(func() { fn(p) }) {
 			return
 		}
-		b.bg.Add(1)
-		b.bgMu.Unlock()
-		go func(p *peerState) {
-			defer b.bg.Done()
-			fn(p)
-		}(p)
 	}
-}
-
-// broadcastPlacement pushes user's current replica set to every alive peer
-// (a missed delta is repaired by the receiver's next anti-entropy pull).
-func (b *Broker) broadcastPlacement(user uint32) {
-	if b.nBrokers == 1 {
-		return
-	}
-	order := b.ReplicaSet(user)
-	if len(order) == 0 {
-		return
-	}
-	body := appendPlacementEntry(nil, user, order)
-	b.broadcast(false, func(p *peerState) {
-		_, _, _ = p.conn.roundTrip(opPlacementDelta, body)
-	})
 }
 
 // batchEntriesPerFrame bounds one opPlacementBatch frame; even a
 // cluster-wide rebalance stays far under the frame limit per send.
 const batchEntriesPerFrame = 8192
 
-// broadcastPlacementBatch pushes the current replica sets of many users
-// to every alive peer in O(users / batchEntriesPerFrame) frames per peer
-// — the bulk counterpart of broadcastPlacement, used by the rebalance and
-// drain passes so a membership change does not burst one goroutine and
-// round trip per moved user.
-func (b *Broker) broadcastPlacementBatch(users []uint32) {
+// broadcastPlacement pushes the current replica sets of users — one user
+// after a policy decision, many after a rebalance or drain pass — to every
+// alive peer in O(users / batchEntriesPerFrame) frames per peer. A missed
+// push is repaired by the receiver's next anti-entropy pull.
+func (b *Broker) broadcastPlacement(users ...uint32) {
 	if b.nBrokers == 1 || len(users) == 0 {
 		return
 	}
@@ -465,10 +431,10 @@ func (b *Broker) broadcastPlacementBatch(users []uint32) {
 // peer's write-ahead log (per-broker WAL mode only). The send is attempted
 // even to peers currently marked dead — a mislabeled but reachable peer
 // must not silently miss history. Events a peer misses during a true
-// outage are repaired by the catch-up half of the sync loop (syncWALs):
-// the recovered peer compares per-origin cursors and pulls exactly the
-// records it missed, without waiting for new user writes. A sampled tc
-// rides the frames, so the trace shows every peer the write touched.
+// outage are repaired by the recovered peer's next probe: it compares
+// per-origin cursors and pulls exactly the records it missed, without
+// waiting for new user writes. A sampled tc rides the frames, so the
+// trace shows every peer the write touched.
 func (b *Broker) broadcastSyncWrite(user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext) {
 	body := encodeSyncWrite(user, seq, at, payload)
 	b.broadcast(true, func(p *peerState) {
@@ -476,34 +442,31 @@ func (b *Broker) broadcastSyncWrite(user uint32, seq uint64, at int64, payload [
 	})
 }
 
-// syncWALs is the WAL anti-entropy pass of a per-broker-WAL cluster: for
-// every alive peer, compare per-origin applied cursors and pull the
-// records this broker is missing. Each peer's catch-up runs detached (like
-// the pings) so a slow peer never stalls the sync loop, with at most one
-// in flight per peer.
-func (b *Broker) syncWALs() {
-	for _, p := range b.peers {
-		if p == nil || !p.alive.Load() || !p.catching.CompareAndSwap(false, true) {
-			continue
-		}
-		b.bgMu.Lock()
-		if b.bgDone {
-			b.bgMu.Unlock()
-			p.catching.Store(false)
-			return
-		}
-		b.bg.Add(1)
-		b.bgMu.Unlock()
-		go func(p *peerState) {
-			defer b.bg.Done()
-			defer p.catching.Store(false)
-			b.catchUpFrom(p)
-		}(p)
+// probe is one peer's liveness check and WAL catch-up in one exchange: it
+// asks the peer for its per-origin cursors. A failed or malformed answer
+// counts a miss (peerDeathThreshold of them in a row mark the peer dead);
+// an answer marks the peer alive, and catchUpFrom then pulls whatever this
+// broker lacks. Brokers sharing one in-process store see equal cursors and
+// pull nothing.
+func (b *Broker) probe(p *peerState) {
+	respType, body, err := p.conn.roundTrip(opLogCursors, nil)
+	var theirs map[uint64]uint64
+	if err == nil && respType == respLogCursors {
+		theirs, err = decodeLogCursors(body)
 	}
+	if theirs == nil || err != nil {
+		if p.misses.Add(1) >= peerDeathThreshold {
+			p.alive.Store(false)
+		}
+		return
+	}
+	p.misses.Store(0)
+	p.alive.Store(true)
+	b.catchUpFrom(p, theirs)
 }
 
-// catchUpFrom closes this broker's WAL gaps against one peer: fetch the
-// peer's per-origin cursors (exclusive applied high-water marks), and for
+// catchUpFrom closes this broker's WAL gaps against one peer, given the
+// peer's per-origin cursors (exclusive applied high-water marks): for
 // every origin where the peer is ahead, page through opLogPull until
 // caught up (or the per-pass page budget runs out — the next sync round
 // continues). Pulled records flow through ApplyReplicated, which is
@@ -514,15 +477,7 @@ func (b *Broker) syncWALs() {
 // the gap fell off the peer's capped views and cannot be recovered from
 // it — the cursor jumps to the peer's mark so the exchange converges
 // instead of re-pulling the unservable gap every round.
-func (b *Broker) catchUpFrom(p *peerState) {
-	respType, body, err := p.conn.roundTrip(opLogCursors, nil)
-	if err != nil || respType != respLogCursors {
-		return
-	}
-	theirs, err := decodeLogCursors(body)
-	if err != nil {
-		return
-	}
+func (b *Broker) catchUpFrom(p *peerState, theirs map[uint64]uint64) {
 	mine := b.store.Cursors()
 	for origin, peerMark := range theirs {
 		from := mine[origin]

@@ -3,10 +3,13 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"dynasore/internal/membership"
+	"dynasore/internal/telemetry"
 	"dynasore/internal/viewpolicy"
 	"dynasore/internal/wal"
 )
@@ -350,5 +353,65 @@ func TestWriteReplicationAcrossBrokerWALs(t *testing.T) {
 	}
 	if len(v.Events) != 1 || string(v.Events[0]) != "durable-everywhere" {
 		t.Fatalf("broker 1 rebuilt view = %q, want the replicated write", v.Events)
+	}
+}
+
+// TestPlacementBatchOfOneChangesReplicaSet: a one-entry opPlacementBatch —
+// the push a single policy decision sends — installs that user's replica
+// set on the receiving broker.
+func TestPlacementBatchOfOneChangesReplicaSet(t *testing.T) {
+	b, _, _ := testCluster(t, 3, nil)
+	const user = 7
+	body := encodePlacementTable([]placementEntry{{user: user, order: []int{2, 0}}})
+	if rt, resp := b.handle(telemetry.TraceContext{}, opPlacementBatch, body); rt != respOK {
+		t.Fatalf("respType = %d (%q), want respOK", rt, resp)
+	}
+	if got := b.ReplicaSet(user); !slices.Equal(got, []int{2, 0}) {
+		t.Errorf("replica set = %v, want [2 0]", got)
+	}
+}
+
+// TestMembershipSyncWriteInstallsEpochOnFollower: a membership transition
+// reaches a follower as the leader's WAL record, and applying that record
+// is what installs the new epoch — no separate membership push exists.
+func TestMembershipSyncWriteInstallsEpochOnFollower(t *testing.T) {
+	b, servers, _ := testCluster(t, 2, func(cfg *BrokerConfig) {
+		// Broker 0 (the leader by position) is never contacted: the sync
+		// loop does not fire within the test.
+		cfg.Peers = []PeerInfo{{Addr: "127.0.0.1:1", Pos: Position{Zone: 0}}, {Pos: Position{Zone: 1}}}
+		cfg.Self = 1
+		cfg.SyncEvery = time.Hour
+	})
+	if b.IsLeader() {
+		t.Fatal("broker 1 should follow broker 0")
+	}
+	next, err := b.Membership().View.WithDraining(servers[1].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Broker 0 mints sequence numbers ≡ 0 mod 2.
+	body := encodeSyncWrite(membership.ReservedUser, 0, time.Now().UnixNano(), membership.AppendView(nil, next))
+	if rt, resp := b.handle(telemetry.TraceContext{}, opSyncWrite, body); rt != respOK {
+		t.Fatalf("respType = %d (%q), want respOK", rt, resp)
+	}
+	if got := b.Membership().View; got.Epoch != next.Epoch || got.Servers[1].State != membership.StateDraining {
+		t.Errorf("follower holds epoch %d (server 1 %v), want epoch %d with server 1 draining",
+			got.Epoch, got.Servers[1].State, next.Epoch)
+	}
+}
+
+// TestRetiredPeerOpsAreRefused: the op codes protocol 5 retired (the peer
+// hello ping, the one-user placement delta, the membership delta and the
+// membership pull) are answered with respError, and the codes around them
+// kept their values.
+func TestRetiredPeerOpsAreRefused(t *testing.T) {
+	if opPlacementPull != 19 || respMembership != 33 || opPlacementBatch != 34 {
+		t.Fatalf("live op codes moved: %d %d %d", opPlacementPull, respMembership, opPlacementBatch)
+	}
+	b, _, _ := testCluster(t, 1, nil)
+	for _, op := range []uint8{17, 18, 31, 32} {
+		if rt, _ := b.handle(telemetry.TraceContext{}, op, make([]byte, 8)); rt != respError {
+			t.Errorf("retired op %d: respType = %d, want respError", op, rt)
+		}
 	}
 }

@@ -55,13 +55,11 @@ const (
 	// Connection handshake: the first frame on every connection.
 	opHello
 	respHello
-	// Broker <-> broker placement sync (multi-broker clusters): liveness
-	// pings doubling as election beacons, replica-set deltas pushed after
-	// every placement change, full-table anti-entropy pulls, access-
-	// statistics reports from follower brokers to the policy leader, and
-	// write replication between per-broker WALs.
-	opPeerHello
-	opPlacementDelta
+	// Broker <-> broker sync (multi-broker clusters): full-table placement
+	// anti-entropy pulls, access-statistics reports from follower brokers
+	// to the policy leader, and write replication between per-broker WALs.
+	_ // retired: opPeerHello (liveness is the opLogCursors exchange)
+	_ // retired: opPlacementDelta (one-user changes ride opPlacementBatch)
 	opPlacementPull
 	opAccessReport
 	opSyncWrite
@@ -70,27 +68,28 @@ const (
 	// subsystem): a broker asks a peer for its per-origin applied
 	// high-water marks, then pulls exactly the records it missed per
 	// origin — so a peer that was down during replication converges
-	// without waiting for new user writes.
+	// without waiting for new user writes. The cursor exchange, sent to
+	// every peer every sync round, is also the liveness probe.
 	opLogCursors
 	opLogPull
 	respLogCursors
 	respLogRecords
 	// Elastic membership (internal/membership): admin requests to read or
 	// mutate the epoch-versioned cache-server registry (mutations are
-	// forwarded to the leader broker), plus the peer-sync pair — delta
-	// broadcasts after every transition and anti-entropy pulls of the
-	// leader's current view.
+	// forwarded to the leader broker). Transitions reach peers as WAL
+	// records (opSyncWrite, catch-up); followers also poll the leader's
+	// view with opMembershipGet.
 	opMembershipGet
 	opServerAdd
 	opServerDrain
 	opServerRemove
-	opMembershipDelta
-	opMembershipPull
+	_ // retired: opMembershipDelta (the transition's opSyncWrite installs it)
+	_ // retired: opMembershipPull (followers poll with opMembershipGet)
 	respMembership
-	// opPlacementBatch carries many placement entries in one frame (the
-	// encodePlacementTable layout) — how a rebalance or drain pass pushes
-	// its whole outcome to each peer in O(1) round trips instead of one
-	// opPlacementDelta per moved user.
+	// opPlacementBatch pushes placement entries to a peer (the
+	// encodePlacementTable layout): one user's new replica set after a
+	// policy decision, or a rebalance or drain pass's whole outcome in
+	// O(1) round trips per peer.
 	opPlacementBatch
 	// Direct-read fast path: a client asks the broker to lease one user's
 	// replica set (opLeaseGet → respLease), then reads the view straight
@@ -117,7 +116,7 @@ const (
 
 // protoVersion is the one protocol version a hello may name; any other
 // is refused with ErrBadVersion.
-const protoVersion = 4
+const protoVersion = 5
 
 // traceFlag in a frame's type byte means a 17-byte trace context (see
 // internal/telemetry) follows the request ID. Op codes stay below it.
@@ -414,20 +413,6 @@ func decodeView(b []byte) (View, []byte, error) {
 	return v, b, nil
 }
 
-// encodePeerHello builds an opPeerHello body: the sender's index in the
-// cluster-wide broker list, so the receiver can sanity-check membership.
-func encodePeerHello(sender uint32) []byte {
-	return binary.LittleEndian.AppendUint32(nil, sender)
-}
-
-// decodePeerHello parses an opPeerHello body.
-func decodePeerHello(body []byte) (uint32, error) {
-	if len(body) < 4 {
-		return 0, ErrBadFrame
-	}
-	return binary.LittleEndian.Uint32(body[0:4]), nil
-}
-
 // placementEntry is one user's replica set on the wire: the cache-server
 // indices holding its view, in replica-set order (home first). Server
 // indices refer to the cluster-wide ServerAddrs order every broker shares.
@@ -465,9 +450,8 @@ func decodePlacementEntry(b []byte) (placementEntry, []byte, error) {
 	return e, b[2*n:], nil
 }
 
-// encodePlacementTable builds a respPlacement body: uint32(count) followed
-// by that many placement entries — the anti-entropy snapshot of a broker's
-// whole view table.
+// encodePlacementTable builds an opPlacementBatch or respPlacement body:
+// uint32(count) followed by that many placement entries.
 func encodePlacementTable(entries []placementEntry) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(entries)))
 	for _, e := range entries {
@@ -476,8 +460,9 @@ func encodePlacementTable(entries []placementEntry) []byte {
 	return buf
 }
 
-// decodePlacementTable parses a respPlacement body. The count is validated
-// against the smallest possible entry size before any allocation.
+// decodePlacementTable parses an opPlacementBatch or respPlacement body.
+// The count is validated against the smallest possible entry size before
+// any allocation, and bytes past the last entry are rejected.
 func decodePlacementTable(body []byte) ([]placementEntry, error) {
 	if len(body) < 4 {
 		return nil, ErrBadFrame
@@ -496,6 +481,9 @@ func decodePlacementTable(body []byte) ([]placementEntry, error) {
 			return nil, err
 		}
 		entries = append(entries, e)
+	}
+	if len(rest) != 0 {
+		return nil, ErrBadFrame
 	}
 	return entries, nil
 }
@@ -615,20 +603,26 @@ func encodeLogCursors(cursors map[uint64]uint64) []byte {
 }
 
 // decodeLogCursors parses a respLogCursors body, validating the count
-// against the bytes present before allocating.
+// against the bytes present before allocating. Only the encoder's form is
+// accepted: exactly count pairs, origins strictly ascending.
 func decodeLogCursors(body []byte) (map[uint64]uint64, error) {
 	if len(body) < 4 {
 		return nil, ErrBadFrame
 	}
 	n := int64(binary.LittleEndian.Uint32(body[0:4]))
 	rest := body[4:]
-	if n > int64(len(rest))/16 {
+	if int64(len(rest)) != 16*n {
 		return nil, ErrBadFrame
 	}
 	cursors := make(map[uint64]uint64, n)
+	var prev uint64
 	for i := int64(0); i < n; i++ {
-		cursors[binary.LittleEndian.Uint64(rest[0:8])] = binary.LittleEndian.Uint64(rest[8:16])
-		rest = rest[16:]
+		origin := binary.LittleEndian.Uint64(rest[0:8])
+		if i > 0 && origin <= prev {
+			return nil, ErrBadFrame
+		}
+		cursors[origin] = binary.LittleEndian.Uint64(rest[8:16])
+		prev, rest = origin, rest[16:]
 	}
 	return cursors, nil
 }

@@ -121,10 +121,13 @@ func TestParseHello(t *testing.T) {
 	if err := parseHello(hello(protoVersion)); err != nil {
 		t.Errorf("parseHello(current) = %v", err)
 	}
-	// Exactly one version is spoken: every other one, older or newer, is
-	// refused.
-	for _, v := range []byte{0, 1, 2, 3, protoVersion + 1, 255} {
-		if err := parseHello(hello(v)); !errors.Is(err, ErrBadVersion) {
+	// Exactly one version is spoken: every other one, older (the previous
+	// version included) or newer, is refused.
+	for v := 0; v < 256; v++ {
+		if v == protoVersion {
+			continue
+		}
+		if err := parseHello(hello(byte(v))); !errors.Is(err, ErrBadVersion) {
 			t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)
 		}
 	}
@@ -209,7 +212,7 @@ func TestHelloBadMagicRejected(t *testing.T) {
 // the wire.
 func TestHelloWrongVersionRefused(t *testing.T) {
 	b, _, _ := testCluster(t, 1, nil)
-	for _, v := range []byte{2, 3, protoVersion + 1} {
+	for _, v := range []byte{3, protoVersion - 1, protoVersion + 1} {
 		f := rawHello(t, b.Addr(), append(helloMagic[:], v))
 		if f.msgType != respError {
 			t.Fatalf("version %d: respType = %d, want respError", v, f.msgType)
@@ -566,6 +569,9 @@ func TestPlacementTableRoundTrip(t *testing.T) {
 	if _, err := decodePlacementTable(hostile); err == nil {
 		t.Error("hostile table count accepted")
 	}
+	if _, err := decodePlacementTable(append(encodePlacementTable(in), 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
 }
 
 func TestAccessReportRoundTrip(t *testing.T) {
@@ -607,16 +613,6 @@ func TestSyncWriteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPeerHelloRoundTrip(t *testing.T) {
-	sender, err := decodePeerHello(encodePeerHello(3))
-	if err != nil || sender != 3 {
-		t.Errorf("round trip: %d, %v", sender, err)
-	}
-	if _, err := decodePeerHello(nil); err == nil {
-		t.Error("empty hello accepted")
-	}
-}
-
 // TestLogCursorsRoundTrip pushes per-origin cursor maps through the wire
 // form, including the empty map a fresh broker reports.
 func TestLogCursorsRoundTrip(t *testing.T) {
@@ -638,8 +634,21 @@ func TestLogCursorsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Hostile counts and short bodies are rejected before allocation.
-	for _, body := range [][]byte{nil, {1, 2}, {0xFF, 0xFF, 0xFF, 0xFF}} {
+	// Hostile counts and short bodies are rejected before allocation, and
+	// so is anything but the encoder's form: trailing bytes, repeated or
+	// unsorted origins.
+	pair := func(origin, seq uint64) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, origin), seq)
+	}
+	two := func(a, b []byte) []byte {
+		return append(append(binary.LittleEndian.AppendUint32(nil, 2), a...), b...)
+	}
+	for _, body := range [][]byte{
+		nil, {1, 2}, {0xFF, 0xFF, 0xFF, 0xFF},
+		append(encodeLogCursors(map[uint64]uint64{0: 42}), 0),
+		two(pair(1, 5), pair(1, 6)),
+		two(pair(2, 5), pair(1, 6)),
+	} {
 		if _, err := decodeLogCursors(body); err == nil {
 			t.Errorf("malformed cursors body %v accepted", body)
 		}
@@ -887,6 +896,48 @@ func FuzzDecodeStaleRoute(f *testing.F) {
 		re := appendStaleRoute(nil, epoch, placement)
 		if !bytes.Equal(re, data[:len(re)]) {
 			t.Fatalf("stale route round trip mismatch")
+		}
+	})
+}
+
+// FuzzDecodePlacementTable drives the one placement push body
+// (opPlacementBatch, and the respPlacement anti-entropy answer): input
+// never panics, and whatever decodes re-encodes to the identical bytes.
+func FuzzDecodePlacementTable(f *testing.F) {
+	f.Add(encodePlacementTable([]placementEntry{{user: 7, order: []int{2, 0}}}))
+	f.Add(encodePlacementTable([]placementEntry{
+		{user: 1, order: []int{0}},
+		{user: 9, order: []int{2, 1, 3}},
+	}))
+	f.Add(encodePlacementTable(nil))
+	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<30))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := decodePlacementTable(data)
+		if err != nil {
+			return
+		}
+		if re := encodePlacementTable(entries); !bytes.Equal(re, data) {
+			t.Fatalf("placement table round trip mismatch: %x != %x", re, data)
+		}
+	})
+}
+
+// FuzzDecodeLogCursors drives the cursor-exchange answer, which is both
+// the liveness probe and the start of WAL catch-up: input never panics,
+// and whatever decodes re-encodes to the identical bytes.
+func FuzzDecodeLogCursors(f *testing.F) {
+	f.Add(encodeLogCursors(map[uint64]uint64{0: 9, 1: 700, 2: 5}))
+	f.Add(encodeLogCursors(map[uint64]uint64{}))
+	f.Add(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cursors, err := decodeLogCursors(data)
+		if err != nil {
+			return
+		}
+		if re := encodeLogCursors(cursors); !bytes.Equal(re, data) {
+			t.Fatalf("log cursors round trip mismatch: %x != %x", re, data)
 		}
 	})
 }

@@ -25,9 +25,10 @@ func (b *Broker) MaintainNow() {
 	b.rebalanceMu.Unlock()
 }
 
-// SyncNow runs one synchronous peer-sync pass — liveness pings, election,
-// access-report push and placement/membership anti-entropy — exactly as a
-// SyncEvery tick would. It is a no-op on closed or single-broker clusters.
+// SyncNow runs one synchronous peer-sync pass — cursor-exchange probes,
+// election, access-report push and placement/membership anti-entropy —
+// exactly as a SyncEvery tick would. It is a no-op on closed or
+// single-broker clusters.
 func (b *Broker) SyncNow() {
 	if b.closed.Load() || b.nBrokers <= 1 {
 		return

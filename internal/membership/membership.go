@@ -271,8 +271,9 @@ const maxAddrLen = 1 << 10
 //	u64 epoch | u16 n | n × { u8 state | u32 capacity | u32 zone |
 //	                          u32 rack | u16 addrLen | addr }
 //
-// The same bytes serve as the WAL record payload under ReservedUser, the
-// opMembershipDelta body, and the prefix of a respMembership body.
+// The same bytes serve as the WAL record payload under ReservedUser
+// (replicated to peers as an ordinary log record) and the prefix of a
+// respMembership body.
 func AppendView(buf []byte, v View) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, v.Epoch)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(v.Servers)))

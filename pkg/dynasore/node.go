@@ -139,8 +139,9 @@ type BrokerConfig struct {
 // Broker is one standalone broker node: it serves the Read/Write API to
 // network clients, persists writes to its WAL, and drives replica placement
 // across its cache servers with the shared DynaSoRe policy (§3). In a
-// multi-broker cluster (Peers) it additionally pings its peers, takes part
-// in leader election, and keeps its placement table synced.
+// multi-broker cluster (Peers) it additionally probes its peers (the probe
+// also catches up its WAL), takes part in leader election, and keeps its
+// placement table synced.
 type Broker struct {
 	b *cluster.Broker
 }
