@@ -185,7 +185,7 @@ func runTop(ctx context.Context, cfg cliConfig) error {
 		return err
 	}
 	defer cc.Close()
-	per, err := cc.StatsPerBroker(ctx)
+	_, per, err := cc.StatsPerBroker(ctx)
 	if err != nil {
 		return err
 	}

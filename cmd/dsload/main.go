@@ -233,12 +233,11 @@ func run(o options, stdout, stderr io.Writer) error {
 		direct    = o.direct
 	)
 	ctx := context.Background()
-	// The direct fast path lives on the cluster client only, so -direct
-	// dials DialCluster even against a single (or selfhosted) broker.
 	var opts []dynasore.DialOption
 	if direct {
 		opts = append(opts, dynasore.WithDirectReads(0))
 	}
+	var addrs []string
 	var store dynasore.Store
 	switch {
 	case o.gateway != "":
@@ -254,30 +253,19 @@ func run(o options, stdout, stderr io.Writer) error {
 		// Load the engine over the real network client, so the measured
 		// path includes framing, multiplexing, and the broker's serve
 		// loop — not just in-process calls.
-		if direct {
-			c, err := dynasore.DialCluster(ctx, []string{e.Addr()}, opts...)
-			if err != nil {
-				return err
-			}
-			defer c.Close()
-			store = c
-			break
-		}
-		c, err := dynasore.Dial(ctx, e.Addr())
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		store = c
+		addrs = []string{e.Addr()}
 	case brokers != "":
-		c, err := dynasore.DialCluster(ctx, strings.Split(brokers, ","), opts...)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		store = c
+		addrs = strings.Split(brokers, ",")
 	default:
 		return fmt.Errorf("need -brokers or -selfhost")
+	}
+	if len(addrs) > 0 {
+		c, err := dynasore.DialCluster(ctx, addrs, opts...)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		store = c
 	}
 
 	var g *socialgraph.Graph

@@ -65,7 +65,8 @@ func run() error {
 	defer broker.Close()
 	fmt.Printf("cluster up: broker %s, cache servers %v\n", broker.Addr(), addrs)
 
-	// The v2 network client multiplexes concurrent requests.
+	// The network client (Dial: a ClusterClient over one broker)
+	// multiplexes concurrent requests.
 	client, err := dynasore.Dial(ctx, broker.Addr())
 	if err != nil {
 		return err

@@ -91,7 +91,7 @@ func runLive() error {
 	fmt.Printf("\nlive flash crowd against broker %s:\n", engine.Addr())
 	fmt.Printf("replicas of view %d before the crowd: %d\n", celeb, engine.ReplicaCount(celeb))
 
-	// The crowd arrives: a burst of reads through the v2 network client.
+	// The crowd arrives: a burst of reads through the network client.
 	client, err := dynasore.Dial(ctx, engine.Addr())
 	if err != nil {
 		return err

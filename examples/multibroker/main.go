@@ -120,6 +120,8 @@ func run() error {
 	for brokers[0].HomeOf(hot)%3 == 2 {
 		hot++
 	}
+	// Dial is DialCluster over one address: this client talks to the
+	// zone-2 broker only.
 	zone2, err := dynasore.Dial(ctx, brokers[2].Addr())
 	if err != nil {
 		return err

@@ -1,8 +1,9 @@
 // Quickstart: the public pkg/dynasore API in ~60 lines. Open an in-process
 // DynaSoRe cluster (the Engine backend), publish and read feeds through the
-// paper's Read(u, L)/Write(u) interface (§3.1), then connect a network
-// Client speaking the cluster's multiplexed wire protocol to the same broker —
-// both backends behind the one Store interface.
+// paper's Read(u, L)/Write(u) interface (§3.1), then Dial the same broker
+// with the network client (a ClusterClient over one address) speaking the
+// cluster's multiplexed wire protocol — both backends behind the one Store
+// interface.
 //
 // For the paper's simulation experiments (traffic vs. static placements),
 // see cmd/dynasore-sim and examples/flashcrowd.

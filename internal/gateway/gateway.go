@@ -243,23 +243,36 @@ func storeCounters(st dynasore.Stats) []struct {
 
 // brokerStatser is the optional per-broker stats surface of a store
 // (ClusterClient has it); when present, /metrics attributes op counts to
-// each broker address instead of only the cluster sum.
+// each broker address as well as reporting the cluster sum, both from the
+// same fetch.
 type brokerStatser interface {
-	StatsPerBroker(ctx context.Context) ([]dynasore.BrokerStats, error)
+	StatsPerBroker(ctx context.Context) (dynasore.Stats, []dynasore.BrokerStats, error)
 }
+
+var _ brokerStatser = (*dynasore.ClusterClient)(nil)
 
 // handleMetrics renders the full scrape: the gateway's own series, the
 // process-wide telemetry histograms (client-side op latency, direct-read
 // ladder counters), then the store's counters, per-broker attribution
-// when available, and the membership epoch. A broker outage does not
-// fail the scrape — it shows as dsgate_store_up 0 with the dynasore_*
-// series absent.
+// when available, and the membership epoch. The store is asked once per
+// scrape, so the dynasore_*_total sums and the per-broker series agree. A
+// broker outage does not fail the scrape — it shows as dsgate_store_up 0
+// with the dynasore_* series absent.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	g.metrics.writeMetrics(&b)
 	telemetry.Default().WriteMetrics(&b)
 
-	st, err := g.store.Stats(r.Context())
+	var (
+		st  dynasore.Stats
+		per []dynasore.BrokerStats
+		err error
+	)
+	if bs, ok := g.store.(brokerStatser); ok {
+		st, per, err = bs.StatsPerBroker(r.Context())
+	} else {
+		st, err = g.store.Stats(r.Context())
+	}
 	up := 0
 	if err == nil {
 		up = 1
@@ -271,16 +284,14 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, c := range storeCounters(st) {
 			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
 		}
-		if bs, ok := g.store.(brokerStatser); ok {
-			if per, perErr := bs.StatsPerBroker(r.Context()); perErr == nil {
-				promtext.WriteHeader(&b, "dynasore_broker_ops_total",
-					"counter", "Per-broker lifetime operation counts by kind.")
-				for _, p := range per {
-					promtext.WriteInt(&b, "dynasore_broker_ops_total",
-						promtext.Labels("broker", p.Addr, "op", "read"), p.Stats.Reads)
-					promtext.WriteInt(&b, "dynasore_broker_ops_total",
-						promtext.Labels("broker", p.Addr, "op", "write"), p.Stats.Writes)
-				}
+		if len(per) > 0 {
+			promtext.WriteHeader(&b, "dynasore_broker_ops_total",
+				"counter", "Per-broker lifetime operation counts by kind.")
+			for _, p := range per {
+				promtext.WriteInt(&b, "dynasore_broker_ops_total",
+					promtext.Labels("broker", p.Addr, "op", "read"), p.Stats.Reads)
+				promtext.WriteInt(&b, "dynasore_broker_ops_total",
+					promtext.Labels("broker", p.Addr, "op", "write"), p.Stats.Writes)
 			}
 		}
 		fmt.Fprintf(&b, "# HELP dynasore_membership_epoch Current membership epoch of the cluster.\n")

@@ -349,3 +349,62 @@ func TestMetricsRendering(t *testing.T) {
 		t.Errorf("final cumulative bucket = %d, want 2", prev)
 	}
 }
+
+// tickingStore is a fakeStore whose broker counters advance on every
+// stats fetch, as a live cluster's do between two round trips.
+type tickingStore struct {
+	fakeStore
+	fetches int64
+}
+
+func (s *tickingStore) fetch() (dynasore.Stats, []dynasore.BrokerStats) {
+	s.fetches++
+	n := s.fetches
+	per := []dynasore.BrokerStats{
+		{Addr: "b0:1", Stats: dynasore.Stats{Reads: 10 * n, Writes: n, Epoch: 1}},
+		{Addr: "b1:1", Stats: dynasore.Stats{Reads: 20 * n, Writes: 2 * n, Epoch: 1}},
+	}
+	return dynasore.Stats{Reads: 30 * n, Writes: 3 * n, Epoch: 1}, per
+}
+
+func (s *tickingStore) Stats(ctx context.Context) (dynasore.Stats, error) {
+	st, _ := s.fetch()
+	return st, nil
+}
+
+func (s *tickingStore) StatsPerBroker(ctx context.Context) (dynasore.Stats, []dynasore.BrokerStats, error) {
+	st, per := s.fetch()
+	return st, per, nil
+}
+
+// One scrape asks the store once: the cluster totals and the per-broker
+// series describe the same moment, so they add up.
+func TestMetricsScrapeIsConsistent(t *testing.T) {
+	store := &tickingStore{}
+	g := newTestGateway(t, store, nil)
+	rec := doReq(g, http.MethodGet, "/metrics", "", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics = %d", rec.Code)
+	}
+	if store.fetches != 1 {
+		t.Errorf("scrape fetched stats %d times, want 1", store.fetches)
+	}
+	var total, perBroker, series int64
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		var n int64
+		switch {
+		case strings.HasPrefix(line, "dynasore_reads_total "):
+			fmt.Sscanf(strings.TrimPrefix(line, "dynasore_reads_total "), "%d", &total)
+		case strings.HasPrefix(line, "dynasore_broker_ops_total{") && strings.Contains(line, `op="read"`):
+			fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%d", &n)
+			perBroker += n
+			series++
+		}
+	}
+	if series != 2 {
+		t.Fatalf("got %d per-broker read series, want 2\n%s", series, rec.Body.String())
+	}
+	if total != perBroker {
+		t.Errorf("dynasore_reads_total = %d, per-broker reads sum to %d", total, perBroker)
+	}
+}

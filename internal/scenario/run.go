@@ -123,7 +123,7 @@ type Run struct {
 	// Mix.BrokerPath phases of direct scenarios (nil when the scenario
 	// isn't direct — client already is the broker path then).
 	brokerOnly *dynasore.ClusterClient
-	perB       map[int]*dynasore.Client
+	perB       map[int]*dynasore.ClusterClient
 	phase      int
 	writeNs    atomic.Int64
 	readNs     atomic.Int64
@@ -406,7 +406,7 @@ func Execute(sc Scenario, opts Options) (Result, error) {
 		opts:       opts,
 		client:     client,
 		brokerOnly: brokerOnly,
-		perB:       make(map[int]*dynasore.Client),
+		perB:       make(map[int]*dynasore.ClusterClient),
 	}
 	defer func() {
 		for _, c := range run.perB {

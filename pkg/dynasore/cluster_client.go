@@ -12,21 +12,46 @@ import (
 	"dynasore/internal/membership"
 )
 
-// endpointCooldown is how long a broker endpoint sits out after a
-// connection-level failure before the cluster client retries it.
+// endpointCooldown is how long a broker endpoint is tried last after a
+// connection-level failure.
 const endpointCooldown = time.Second
 
-// ClusterClient is the multi-endpoint network backend of Store: it talks
-// the cluster's wire protocol to every broker of a multi-broker cluster,
-// spreading reads round-robin across them, pinning each user's writes to
-// a stable broker (the cluster-side write proxy of §3.1, which also keeps
-// one broker sequencing each user's events), and failing over to the next
-// broker when one dies. Use DialCluster to create one.
+// readBatchSize is the target count above which a multi-user Read is split
+// into concurrent chunks, so one huge feed read does not serialize behind a
+// single round trip.
+const readBatchSize = 256
+
+// DialOption customizes Dial and DialCluster.
+type DialOption func(*dialConfig)
+
+type dialConfig struct {
+	direct       bool
+	directLeases int
+}
+
+// WithDirectReads enables the direct-read fast path: the client leases hot
+// users' replica sets from the broker and reads their views straight from
+// the cache servers — one network hop instead of two — falling back to the
+// broker whenever freshness cannot be proven (no lease, stale epoch, fenced
+// placement). maxLeases bounds the client-side lease cache (<= 0 means
+// cluster.DefaultMaxLeases).
+func WithDirectReads(maxLeases int) DialOption {
+	return func(c *dialConfig) {
+		c.direct = true
+		c.directLeases = maxLeases
+	}
+}
+
+// ClusterClient is the network backend of Store: it talks the cluster's
+// wire protocol to one or more brokers, multiplexing concurrent requests
+// over a small connection pool per broker. With several brokers it spreads
+// reads round-robin across them, pins each user's writes to a stable
+// broker (the cluster-side write proxy of §3.1, which also keeps one broker
+// sequencing each user's events), and fails over to the next broker when
+// one dies. Use Dial for one broker, DialCluster for several.
 type ClusterClient struct {
 	endpoints []*endpoint
 	next      atomic.Uint64
-	batchSize int
-	poolSize  int
 	closed    atomic.Bool
 
 	// Elastic-membership tracking: the highest epoch seen in any broker
@@ -48,37 +73,50 @@ type ClusterClient struct {
 	leasePending map[uint32]struct{}
 }
 
-var _ Store = (*ClusterClient)(nil)
+var (
+	_ Store = (*ClusterClient)(nil)
+	_ Admin = (*ClusterClient)(nil)
+)
 
 // endpoint is one broker address with its lazily dialed client and a
 // cooldown after connection failures. The mutex is never held across a
 // dial: a slow or blackholed broker must not block the requests that
-// round-robin onto this endpoint — they see "dial in progress" and fail
-// over to the next broker immediately.
+// round-robin onto this endpoint — they try the other brokers first.
 type endpoint struct {
 	addr string
 
 	mu        sync.Mutex
 	c         *cluster.Client
-	dialing   bool
+	dialing   chan struct{} // non-nil while a dial is in flight; closed when it ends
 	closed    bool
 	downUntil time.Time
 }
 
-// DialCluster connects to a multi-broker cluster (brokers started with
-// matching BrokerConfig.Peers, or any set of brokers sharing cache servers
-// and placement state). At least one broker must be reachable; the rest
-// are dialed lazily and retried after failures, so brokers may come and go
-// while the client lives. DialOptions apply as in Dial.
+// errBusy marks an endpoint that is cooling down or mid-dial: the request
+// tries the other brokers first and comes back to it last.
+var errBusy = errors.New("busy")
+
+// Dial connects to one broker (as started by ListenBroker, Open, or the
+// dynasore-node command) and performs the protocol hello. It is
+// DialCluster with a single address.
+func Dial(ctx context.Context, addr string, opts ...DialOption) (*ClusterClient, error) {
+	return DialCluster(ctx, []string{addr}, opts...)
+}
+
+// DialCluster connects to a set of brokers (brokers started with matching
+// BrokerConfig.Peers, or any set of brokers sharing cache servers and
+// placement state). At least one broker must be reachable; the rest are
+// dialed lazily and retried after failures, so brokers may come and go
+// while the client lives.
 func DialCluster(ctx context.Context, addrs []string, opts ...DialOption) (*ClusterClient, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("dynasore: DialCluster needs at least one broker address")
 	}
-	cfg := dialConfig{batchSize: 256}
+	var cfg dialConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	c := &ClusterClient{batchSize: cfg.batchSize, poolSize: cfg.poolSize}
+	c := &ClusterClient{}
 	if cfg.direct {
 		c.direct = cluster.NewDirectReader(cfg.directLeases)
 		c.leasePending = make(map[uint32]struct{})
@@ -94,7 +132,7 @@ func DialCluster(ctx context.Context, addrs []string, opts ...DialOption) (*Clus
 		wg.Add(1)
 		go func(i int, ep *endpoint) {
 			defer wg.Done()
-			_, errs[i] = ep.client(ctx, cfg.poolSize)
+			_, errs[i] = ep.client(ctx, false)
 		}(i, ep)
 	}
 	wg.Wait()
@@ -115,31 +153,42 @@ func DialCluster(ctx context.Context, addrs []string, opts ...DialOption) (*Clus
 
 // client returns the endpoint's connection, dialing it if needed. A broker
 // in cooldown after a recent failure, or with a dial already in flight, is
-// reported unreachable without blocking — callers fail over instead of
-// queueing behind a slow dial.
-func (e *endpoint) client(ctx context.Context, poolSize int) (*cluster.Client, error) {
+// reported errBusy without blocking — callers try the other brokers
+// first. last marks the caller's final option: the cooldown is ignored and
+// an in-flight dial is awaited, since there is nothing left to fail over to.
+func (e *endpoint) client(ctx context.Context, last bool) (*cluster.Client, error) {
 	e.mu.Lock()
+	if wait := e.dialing; wait != nil && last {
+		e.mu.Unlock()
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		e.mu.Lock()
+	}
 	if e.c != nil {
 		c := e.c
 		e.mu.Unlock()
 		return c, nil
 	}
-	if e.dialing {
+	if e.dialing != nil {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("dynasore: broker %s dial in progress", e.addr)
+		return nil, fmt.Errorf("dynasore: broker %s dial in progress: %w", e.addr, errBusy)
 	}
-	if time.Now().Before(e.downUntil) {
+	if !last && time.Now().Before(e.downUntil) {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("dynasore: broker %s cooling down after failure", e.addr)
+		return nil, fmt.Errorf("dynasore: broker %s cooling down after failure: %w", e.addr, errBusy)
 	}
-	e.dialing = true
+	e.dialing = make(chan struct{})
 	e.mu.Unlock()
 
-	c, err := cluster.Dial(ctx, e.addr, poolSize)
+	c, err := cluster.Dial(ctx, e.addr, cluster.DefaultPoolSize)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.dialing = false
+	close(e.dialing)
+	e.dialing = nil
 	if err != nil {
 		e.downUntil = time.Now().Add(endpointCooldown)
 		return nil, err
@@ -153,16 +202,35 @@ func (e *endpoint) client(ctx context.Context, poolSize int) (*cluster.Client, e
 	return c, nil
 }
 
-// fail drops the endpoint's connection after a transport error and starts
-// its cooldown.
-func (e *endpoint) fail() {
+// fail drops the endpoint's connection cl after a transport error and
+// starts its cooldown. A failure reported on a connection the endpoint has
+// already replaced is ignored, so a late error cannot tear down a fresh
+// redial.
+func (e *endpoint) fail(cl *cluster.Client) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.c != nil {
-		e.c.Close()
-		e.c = nil
+	if e.c != cl {
+		return
 	}
+	e.c.Close()
+	e.c = nil
 	e.downUntil = time.Now().Add(endpointCooldown)
+}
+
+// call runs op on the endpoint's connection. It reports whether the
+// request is settled — err is then the caller's answer — or should move on
+// to the next broker, in which case err says why.
+func (e *endpoint) call(ctx context.Context, last bool, op func(*cluster.Client) error) (settled bool, err error) {
+	cl, err := e.client(ctx, last)
+	if err != nil {
+		return false, err
+	}
+	err = op(cl)
+	if err == nil || !failover(err) || ctx.Err() != nil {
+		return true, err
+	}
+	e.fail(cl)
+	return false, err
 }
 
 // failover reports whether an error means "try the next broker": transport
@@ -172,29 +240,33 @@ func failover(err error) bool {
 	return err != nil && !errors.Is(err, cluster.ErrRemote)
 }
 
-// try runs op against up to len(endpoints) brokers, starting at start and
-// failing over on transport errors.
+// try runs op against the brokers in failover order from start. Brokers
+// cooling down after a failure or with a dial in flight go last, and are
+// dialed (or awaited) even so: a cooldown reorders brokers but never turns
+// a request away.
 func (c *ClusterClient) try(ctx context.Context, start int, op func(*cluster.Client) error) error {
 	if c.closed.Load() {
 		return errors.New("dynasore: cluster client is closed")
 	}
 	var lastErr error
+	var later []*endpoint
 	n := len(c.endpoints)
 	for i := 0; i < n; i++ {
 		ep := c.endpoints[(start+i)%n]
-		cl, err := ep.client(ctx, c.poolSize)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		err = op(cl)
-		if err == nil {
-			return nil
-		}
-		if !failover(err) || ctx.Err() != nil {
+		settled, err := ep.call(ctx, false, op)
+		if settled {
 			return err
 		}
-		ep.fail()
+		if errors.Is(err, errBusy) {
+			later = append(later, ep)
+		}
+		lastErr = err
+	}
+	for _, ep := range later {
+		settled, err := ep.call(ctx, true, op)
+		if settled {
+			return err
+		}
 		lastErr = err
 	}
 	return fmt.Errorf("dynasore: all %d brokers failed: %w", n, lastErr)
@@ -374,8 +446,6 @@ func (c *ClusterClient) RemoveServer(ctx context.Context, addr string) (Membersh
 	})
 }
 
-var _ Admin = (*ClusterClient)(nil)
-
 func (c *ClusterClient) adminOp(ctx context.Context, op func(*cluster.Client) (cluster.MembershipInfo, error)) (Membership, error) {
 	var out Membership
 	start := int(c.next.Add(1)) % len(c.endpoints)
@@ -440,7 +510,7 @@ func (c *ClusterClient) Read(ctx context.Context, targets []uint32) ([]View, err
 // brokerRead is the broker-proxied read path: round-robin chunked reads
 // across the broker tier.
 func (c *ClusterClient) brokerRead(ctx context.Context, targets []uint32) ([]View, error) {
-	if c.batchSize <= 0 || len(targets) <= c.batchSize {
+	if len(targets) <= readBatchSize {
 		return c.readChunk(ctx, targets)
 	}
 	out := make([]View, len(targets))
@@ -449,8 +519,8 @@ func (c *ClusterClient) brokerRead(ctx context.Context, targets []uint32) ([]Vie
 		mu       sync.Mutex
 		firstErr error
 	)
-	for start := 0; start < len(targets); start += c.batchSize {
-		end := min(start+c.batchSize, len(targets))
+	for start := 0; start < len(targets); start += readBatchSize {
+		end := min(start+readBatchSize, len(targets))
 		wg.Add(1)
 		go func(start, end int) {
 			defer wg.Done()
@@ -502,45 +572,46 @@ type BrokerStats struct {
 	Stats Stats
 }
 
-// StatsPerBroker fetches each reachable broker's counters individually,
-// in endpoint order, attributing every count to the broker that
-// reported it instead of folding the tier into one sum. Unreachable
-// brokers are skipped; it fails only when no broker responds.
-func (c *ClusterClient) StatsPerBroker(ctx context.Context) ([]BrokerStats, error) {
+// StatsPerBroker fetches each reachable broker's counters once, in
+// endpoint order, and returns them both summed — exactly what Stats
+// reports — and attributed to the broker that reported them, so the
+// cluster totals and the per-broker breakdown describe the same moment.
+// Brokers cooling down after a failure are asked only if no other broker
+// answers; unreachable brokers are skipped, and it fails only when no
+// broker responds.
+func (c *ClusterClient) StatsPerBroker(ctx context.Context) (Stats, []BrokerStats, error) {
 	if c.closed.Load() {
-		return nil, errors.New("dynasore: cluster client is closed")
+		return Stats{}, nil, errors.New("dynasore: cluster client is closed")
 	}
-	var out []BrokerStats
+	var per []BrokerStats
 	var lastErr error
-	for _, ep := range c.endpoints {
-		cl, err := ep.client(ctx, c.poolSize)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		st, err := cl.Stats(ctx)
-		if err != nil {
-			if failover(err) {
-				ep.fail()
+	var later []*endpoint
+	fetch := func(ep *endpoint, last bool) {
+		_, err := ep.call(ctx, last, func(cl *cluster.Client) error {
+			st, err := cl.Stats(ctx)
+			if err == nil {
+				per = append(per, BrokerStats{Addr: ep.addr, Stats: fromClusterStats(st)})
 			}
-			lastErr = err
-			continue
+			return err
+		})
+		if errors.Is(err, errBusy) && !last {
+			later = append(later, ep)
 		}
-		out = append(out, BrokerStats{Addr: ep.addr, Stats: fromClusterStats(st)})
+		if err != nil {
+			lastErr = err
+		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("dynasore: no broker answered stats: %w", lastErr)
+	for _, ep := range c.endpoints {
+		fetch(ep, false)
 	}
-	return out, nil
-}
-
-// Stats sums the counters of every reachable broker — cluster-wide
-// activity rather than one broker's. It fails only when no broker
-// responds. Use StatsPerBroker when the per-broker attribution matters.
-func (c *ClusterClient) Stats(ctx context.Context) (Stats, error) {
-	per, err := c.StatsPerBroker(ctx)
-	if err != nil {
-		return Stats{}, err
+	for _, ep := range later {
+		if len(per) > 0 {
+			break
+		}
+		fetch(ep, true)
+	}
+	if len(per) == 0 {
+		return Stats{}, nil, fmt.Errorf("dynasore: no broker answered stats: %w", lastErr)
 	}
 	var sum Stats
 	for _, bs := range per {
@@ -564,7 +635,15 @@ func (c *ClusterClient) Stats(ctx context.Context) (Stats, error) {
 		// broker, and attempts that fenced or failed back to it.
 		sum.DirectReads, sum.DirectStale = c.direct.Counters()
 	}
-	return sum, nil
+	return sum, per, nil
+}
+
+// Stats sums the counters of every reachable broker — cluster-wide
+// activity rather than one broker's. It fails only when no broker
+// responds. Use StatsPerBroker when the per-broker attribution matters.
+func (c *ClusterClient) Stats(ctx context.Context) (Stats, error) {
+	sum, _, err := c.StatsPerBroker(ctx)
+	return sum, err
 }
 
 // Close closes every broker connection; in-flight requests fail.

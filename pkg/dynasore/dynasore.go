@@ -2,19 +2,18 @@
 // paper's tiny Read(u, L) / Write(u) interface (§3.1) behind one Store
 // facade with pluggable backends.
 //
-// Three backends implement Store:
+// Two backends implement Store:
 //
 //   - Engine (see Open) runs a whole cluster — cache servers, a broker, and
 //     its WAL-backed persistent store — inside the calling process, for
 //     embedding and tests.
-//   - Client (see Dial) talks to a remote broker over the cluster's one
-//     wire protocol: a versioned hello plus per-request IDs let many
-//     requests multiplex concurrently over each pooled connection, and a
-//     sampled request's trace context rides its frame.
-//   - ClusterClient (see DialCluster) talks to every broker of a
-//     multi-broker cluster: reads round-robin across brokers, each user's
-//     writes stick to one broker, and requests fail over when a broker
-//     dies.
+//   - ClusterClient talks to remote brokers over the cluster's one wire
+//     protocol: a versioned hello plus per-request IDs let many requests
+//     multiplex concurrently over each pooled connection, and a sampled
+//     request's trace context rides its frame. Dial connects it to one
+//     broker; DialCluster to every broker of a multi-broker cluster, where
+//     reads round-robin across brokers, each user's writes stick to one
+//     broker, and requests fail over when a broker dies.
 //
 // Server-side nodes for standalone deployments are started with
 // ListenCacheServer and ListenBroker; both speak the same protocol. A

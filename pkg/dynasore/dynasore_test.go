@@ -98,18 +98,23 @@ func TestEngineAndClientShareTheCluster(t *testing.T) {
 func TestClientBatchedRead(t *testing.T) {
 	ctx := context.Background()
 	e := openEngine(t, dynasore.EngineConfig{})
-	// Batch size 4 forces a 30-target read into 8 concurrent chunks.
-	c, err := dynasore.Dial(ctx, e.Addr(), dynasore.WithPoolSize(3), dynasore.WithReadBatchSize(4))
+	c, err := dynasore.Dial(ctx, e.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	targets := make([]uint32, 30)
+	// 600 targets exceed the 256-target read batch: the read goes out as
+	// three concurrent chunks (256, 256, 88) and is reassembled in order.
+	targets := make([]uint32, 600)
 	for i := range targets {
 		targets[i] = uint32(i)
 		if _, err := c.Write(ctx, uint32(i), []byte(fmt.Sprintf("u%d", i))); err != nil {
 			t.Fatal(err)
 		}
+	}
+	before, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
 	views, err := c.Read(ctx, targets)
 	if err != nil {
@@ -123,6 +128,13 @@ func TestClientBatchedRead(t *testing.T) {
 		if len(v.Events) != 1 || string(v.Events[0]) != want {
 			t.Errorf("view %d = %q, want %q", i, v.Events, want)
 		}
+	}
+	after, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.Reads - before.Reads; got != 3 {
+		t.Errorf("broker served %d read requests, want 3 chunks", got)
 	}
 }
 
@@ -167,7 +179,7 @@ func TestContextCancellation(t *testing.T) {
 func TestClientConcurrentUse(t *testing.T) {
 	ctx := context.Background()
 	e := openEngine(t, dynasore.EngineConfig{})
-	c, err := dynasore.Dial(ctx, e.Addr(), dynasore.WithPoolSize(2))
+	c, err := dynasore.Dial(ctx, e.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,6 +364,72 @@ func TestCheckpointedRestartThroughPublicAPI(t *testing.T) {
 			t.Fatalf("user %d after restart: version %d/%d events, want %d/%d",
 				i, got[i].Version, len(got[i].Events), want[i].Version, len(want[i].Events))
 		}
+	}
+}
+
+// TestClientRecoversFromBrokerRestart pins that a failure cooldown never
+// turns a request away: a one-broker client has nothing to fail over to,
+// so its first writes after the broker is back must reach it at once —
+// concurrent ones included, which share the one redial.
+func TestClientRecoversFromBrokerRestart(t *testing.T) {
+	ctx := context.Background()
+	s, err := dynasore.ListenCacheServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	cfg := dynasore.BrokerConfig{
+		Addr:             "127.0.0.1:0",
+		CacheServerAddrs: []string{s.Addr()},
+		DataDir:          t.TempDir(),
+		Preferred:        -1,
+	}
+	b, err := dynasore.ListenBroker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dynasore.DialCluster(ctx, []string{b.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(ctx, 1, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Addr = b.Addr()
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(ctx, 1, []byte("lost")); err == nil {
+		t.Fatal("write to a closed broker succeeded")
+	}
+	b2, err := dynasore.ListenBroker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b2.Close() })
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for u := uint32(1); u <= 8; u++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Write(ctx, u, []byte("after")); err != nil {
+				errs <- fmt.Errorf("write to user %d right after the broker restarted: %w", u, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	views, err := c.Read(ctx, []uint32{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := views[0].Events; len(got) != 2 || string(got[0]) != "before" || string(got[1]) != "after" {
+		t.Fatalf("events = %q, want [before after]", got)
 	}
 }
 

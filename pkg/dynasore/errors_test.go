@@ -28,6 +28,9 @@ func TestAdminSentinelsSurviveTheWire(t *testing.T) {
 	if _, err := c.DrainServer(ctx, "127.0.0.1:1"); !errors.Is(err, dynasore.ErrNoSuchServer) {
 		t.Errorf("drain of unknown server = %v, want ErrNoSuchServer", err)
 	}
+	if _, err := c.RemoveServer(ctx, "127.0.0.1:1"); !errors.Is(err, dynasore.ErrNoSuchServer) {
+		t.Errorf("remove of unknown server = %v, want ErrNoSuchServer", err)
+	}
 	m, err := c.Membership(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -42,15 +45,5 @@ func TestAdminSentinelsSurviveTheWire(t *testing.T) {
 	}
 	if _, err := c.DrainServer(ctx, m.Servers[1].Addr); !errors.Is(err, dynasore.ErrLastActive) {
 		t.Errorf("drain of last active = %v, want ErrLastActive", err)
-	}
-
-	// The same classifications hold via the cluster client.
-	cc, err := dynasore.DialCluster(ctx, []string{e.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-	if _, err := cc.RemoveServer(ctx, "127.0.0.1:1"); !errors.Is(err, dynasore.ErrNoSuchServer) {
-		t.Errorf("cluster-client remove of unknown server = %v, want ErrNoSuchServer", err)
 	}
 }
