@@ -74,16 +74,12 @@ type BrokerConfig struct {
 	// probes (liveness and WAL catch-up), leader election, access-report
 	// push, and anti-entropy pulls (default 1s).
 	SyncEvery time.Duration
-	// Store, when non-nil, is the cluster's shared persistent store: the
-	// broker appends to it instead of opening DataDir and does not close
-	// it. Brokers running in one process share the WAL this way. When nil
-	// and Peers is set, each broker opens its own DataDir and every write
-	// is replicated to the peers' logs, so all stores converge on the same
-	// per-user history.
-	Store *wal.ViewStore
-	// DataDir holds the write-ahead log of the persistent store.
+	// DataDir holds the write-ahead log of the broker's persistent store.
+	// In a multi-broker cluster every write is also replicated to the
+	// peers' logs, so all stores converge on the same per-user history.
 	DataDir string
-	// ViewCap bounds events kept per view (default 64).
+	// ViewCap bounds events kept per view (default 64, at most 65535: a
+	// view's event count is a uint16 on the wire).
 	ViewCap int
 	// Placement positions the broker and every cache server in the
 	// datacenter tree. Nil derives a default layout from Preferred.
@@ -114,8 +110,7 @@ type BrokerConfig struct {
 	// per-origin catch-up cursors) to an atomic checkpoint file in
 	// DataDir, restarts load the checkpoint and replay only the WAL tail,
 	// and a final checkpoint is taken on Close. Zero disables periodic
-	// checkpoints. Only meaningful when the broker owns its WAL (Store is
-	// nil); a shared in-process store is its owner's to checkpoint.
+	// checkpoints.
 	CheckpointEvery time.Duration
 	// CompactAfter enables WAL compaction: after a checkpoint, if at
 	// least this many whole WAL segments are fully covered by it, they
@@ -126,9 +121,9 @@ type BrokerConfig struct {
 	// enough that a lost invalidation self-heals quickly; long enough
 	// that a hot reader amortizes the grant over many direct reads.
 	LeaseTTL time.Duration
-	// WALSyncEvery enables group commit on the broker-owned WAL: fsync
-	// once per this many appends (0 keeps the default no-per-append-fsync
-	// behaviour). Only meaningful when the broker opens its own DataDir.
+	// WALSyncEvery enables group commit on the broker's WAL: fsync once
+	// per this many appends (0 keeps the default no-per-append-fsync
+	// behaviour).
 	WALSyncEvery int
 	// Telemetry is the node the broker registers its histograms, trace
 	// spans, and counters with. Nil uses the process-wide Default() —
@@ -140,6 +135,7 @@ func (c BrokerConfig) withDefaults() BrokerConfig {
 	if c.ViewCap <= 0 {
 		c.ViewCap = 64
 	}
+	c.ViewCap = min(c.ViewCap, math.MaxUint16)
 	if c.MaxReplicas <= 0 {
 		c.MaxReplicas = 3
 	}
@@ -298,7 +294,6 @@ type brokerShard struct {
 type Broker struct {
 	cfg      BrokerConfig
 	store    *wal.ViewStore
-	ownWAL   bool // store opened (and closed) by this broker
 	recovery checkpoint.RecoveryInfo
 	ckpt     *checkpoint.Manager // nil unless CheckpointEvery is set
 
@@ -432,30 +427,14 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 			}
 		}
 	}
-	store, ownWAL := cfg.Store, false
-	var recovery checkpoint.RecoveryInfo
-	var err error
-	if store == nil {
-		// With per-broker WALs the sequence space is partitioned by broker
-		// index, so no two brokers of the cluster ever mint the same
-		// sequence number for different events. Recovery goes through the
-		// checkpoint subsystem: the latest intact snapshot seeds the store
-		// and only the log tail is replayed.
-		walOpts := wal.Options{SeqStride: uint64(len(peers)), SeqOffset: uint64(selfIdx), SyncEvery: cfg.WALSyncEvery}
-		store, recovery, err = checkpoint.OpenViewStore(cfg.DataDir, cfg.ViewCap, walOpts)
-		if err != nil {
-			return nil, fmt.Errorf("open persistent store: %w", err)
-		}
-		ownWAL = true
-	}
-	// closeOwned tears down a store this constructor opened when a later
-	// step fails, joining the close error onto the primary one: a failed
-	// final sync is worth surfacing even on an error path.
-	closeOwned := func(err error) error {
-		if ownWAL {
-			return errors.Join(err, store.Close())
-		}
-		return err
+	// The sequence space is partitioned by broker index, so no two brokers
+	// of the cluster ever mint the same sequence number for different
+	// events. Recovery goes through the checkpoint subsystem: the latest
+	// intact snapshot seeds the store and only the log tail is replayed.
+	walOpts := wal.Options{SeqStride: uint64(len(peers)), SeqOffset: uint64(selfIdx), SyncEvery: cfg.WALSyncEvery}
+	store, recovery, err := checkpoint.OpenViewStore(cfg.DataDir, cfg.ViewCap, walOpts)
+	if err != nil {
+		return nil, fmt.Errorf("open persistent store: %w", err)
 	}
 	// Epoch 1 of the membership view comes from the static configuration;
 	// any later epoch recorded in the WAL (the cluster was grown, drained,
@@ -476,7 +455,6 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 	b := &Broker{
 		cfg:       cfg,
 		store:     store,
-		ownWAL:    ownWAL,
 		recovery:  recovery,
 		nBrokers:  len(peers),
 		selfIdx:   selfIdx,
@@ -503,7 +481,8 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 	}
 	tab, err := b.buildTable(view, nil)
 	if err != nil {
-		return nil, closeOwned(err)
+		// A failed final sync is worth surfacing even on an error path.
+		return nil, errors.Join(err, store.Close())
 	}
 	b.tab.Store(tab)
 	b.thresholds = make([]float64, tab.topo.NumMachines())
@@ -515,7 +494,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 	if ln == nil {
 		ln, err = net.Listen("tcp", cfg.Addr)
 		if err != nil {
-			return nil, closeOwned(fmt.Errorf("cluster: listen: %w", err))
+			return nil, errors.Join(fmt.Errorf("cluster: listen: %w", err), store.Close())
 		}
 	}
 	b.ln = ln
@@ -531,7 +510,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 	for i := range b.shards {
 		b.shards[i].views = make(map[uint32]*viewMeta)
 	}
-	if ownWAL && cfg.CheckpointEvery > 0 {
+	if cfg.CheckpointEvery > 0 {
 		b.ckpt = checkpoint.NewManager(store, checkpoint.Options{
 			Dir:          cfg.DataDir,
 			Every:        cfg.CheckpointEvery,
@@ -559,8 +538,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 
 // Recovery reports how the broker's persistent store came up: whether a
 // checkpoint seeded it and how many WAL records were replayed on top (the
-// whole log without a checkpoint). Brokers sharing an in-process store
-// report an empty recovery — the store's owner recovered it.
+// whole log without a checkpoint).
 func (b *Broker) Recovery() (fromCheckpoint bool, replayed int) {
 	return b.recovery.FromCheckpoint, b.recovery.Replayed
 }
@@ -658,7 +636,7 @@ func (b *Broker) buildTable(view membership.View, old *serverTable) (*serverTabl
 			old.view.Servers[i].Addr == s.Addr {
 			t.conns[i] = old.conns[i]
 		} else {
-			t.conns[i] = newServerConn(s.Addr)
+			t.conns[i] = newServerConn(s.Addr, b.cfg.ViewCap)
 		}
 	}
 	return t, nil
@@ -824,7 +802,7 @@ func (b *Broker) commitViewLocked(next membership.View) (membership.View, error)
 	if err != nil {
 		return membership.View{}, fmt.Errorf("persist membership transition: %w", err)
 	}
-	if b.nBrokers > 1 && b.ownWAL {
+	if b.nBrokers > 1 {
 		b.broadcastSyncWrite(membership.ReservedUser, seq, at, payload, telemetry.TraceContext{})
 	}
 	if err := b.installLocked(next); err != nil {
@@ -1064,8 +1042,8 @@ func (e brokerEnv) Holds(m topology.MachineID) bool {
 // update every cache replica with the fresh view. Every failed replica
 // update is reported (joined into one error) and the dead replicas are
 // dropped from the set — a partially updated replica set is never silent.
-// In a multi-broker cluster with per-broker WALs the durable event is also
-// replicated to every peer's log, so any broker can later rebuild the view.
+// In a multi-broker cluster the durable event is also replicated to every
+// peer's log, so any broker can later rebuild the view.
 func (b *Broker) Write(user uint32, payload []byte) (uint64, error) {
 	return b.writeTraced(user, payload, nil)
 }
@@ -1085,7 +1063,7 @@ func (b *Broker) writeTraced(user uint32, payload []byte, sp *telemetry.Span) (u
 		return 0, fmt.Errorf("persist write: %w", err)
 	}
 	sp.Stage("wal")
-	if b.nBrokers > 1 && b.ownWAL {
+	if b.nBrokers > 1 {
 		b.broadcastSyncWrite(user, seq, at, payload, sp.Context())
 		sp.Stage("replicate")
 	}
@@ -1133,14 +1111,15 @@ func (b *Broker) writeTraced(user uint32, payload []byte, sp *telemetry.Span) (u
 	return seq, errors.Join(errs...)
 }
 
-// currentView materializes the persistent store's view of user.
+// currentView materializes the persistent store's view of user, each event
+// tagged with its WAL sequence number.
 func (b *Broker) currentView(user uint32) View {
 	recs, ver := b.store.View(user)
-	events := make([][]byte, len(recs))
+	v := View{Version: ver, Events: make([][]byte, len(recs)), seqs: make([]uint64, len(recs))}
 	for i, r := range recs {
-		events[i] = r.Payload
+		v.Events[i], v.seqs[i] = r.Payload, r.Seq
 	}
-	return View{Version: ver, Events: events}
+	return v
 }
 
 // ReadOne fetches a single view from the replica closest to this broker,
@@ -1387,11 +1366,11 @@ func (b *Broker) readReplica(t *serverTable, user uint32, idx int, tc telemetry.
 // freshestView returns the freshest view of user this broker can prove: its
 // own store's view, raised to any newer version cached on the given replica
 // servers. The write path updates cached replicas synchronously before
-// acknowledging, so in a per-broker-WAL cluster a replica can be ahead of
-// this broker's store while the originating peer's sync write is still in
-// flight — filling a cache or a migration target from the store alone would
-// replace that acknowledged data with an older view. Unreachable or empty
-// replicas are skipped; the store view is the floor.
+// acknowledging, so a replica can be ahead of this broker's store while the
+// originating peer's sync write is still in flight — filling a cache or a
+// migration target from the store alone would replace that acknowledged
+// data with an older view. Unreachable or empty replicas are skipped; the
+// store view is the floor.
 func (b *Broker) freshestView(t *serverTable, user uint32, replicas []int) View {
 	v := b.currentView(user)
 	for _, idx := range replicas {
@@ -1439,23 +1418,21 @@ func (b *Broker) peerFreshestView(user uint32, floor uint64) (View, bool) {
 	return best, found
 }
 
-// raiseSurvivors installs v onto every listed replica whose cached copy is
-// older, so dropping another copy cannot erase the freshest cached
-// version. Best-effort: an unreachable survivor is left to the ordinary
+// raiseSurvivors puts v, the copy of a replica about to be dropped, onto
+// every listed survivor. The servers merge it by sequence number, so an
+// event only the dropped copy holds — a write acknowledged through a peer
+// broker whose sync has not reached this broker's store — outlives the
+// drop. Best-effort: an unreachable survivor is left to the ordinary
 // drop/refill machinery.
 func (b *Broker) raiseSurvivors(t *serverTable, user uint32, survivors []int, v View) {
-	if v.Version == 0 {
+	if len(v.Events) == 0 {
 		return
 	}
+	pv := b.pvOf(user)
 	for _, ridx := range survivors {
-		conn := t.conn(ridx)
-		if conn == nil {
-			continue
+		if conn := t.conn(ridx); conn != nil {
+			_ = conn.putView(user, v, t.view.Epoch, pv, telemetry.TraceContext{})
 		}
-		if cv, ok, err := conn.getView(user, telemetry.TraceContext{}); err == nil && ok && cv.Version >= v.Version {
-			continue
-		}
-		_ = conn.putView(user, v, t.view.Epoch, b.pvOf(user), telemetry.TraceContext{})
 	}
 }
 
@@ -1675,7 +1652,7 @@ func (b *Broker) removeReplica(user uint32, idx int) bool {
 	if conn := t.conn(idx); conn != nil {
 		// The dropped copy can be the only one carrying a write that was
 		// acknowledged through a peer broker and has not reached this
-		// broker's store yet — raise the survivors to it before deleting.
+		// broker's store yet — merge it into the survivors first.
 		if dv, ok, err := conn.getView(user, telemetry.TraceContext{}); err == nil && ok {
 			b.raiseSurvivors(t, user, survivors, dv)
 		}
@@ -2145,8 +2122,7 @@ func (b *Broker) handleAdmin(msgType uint8, body []byte) (uint8, []byte) {
 }
 
 // Close stops the broker: listener, controller and sync loops, in-flight
-// peer broadcasts, server and peer connections, and — unless it was handed
-// a shared Store — the persistent store.
+// peer broadcasts, server and peer connections, and the persistent store.
 func (b *Broker) Close() error {
 	if b.closed.Swap(true) {
 		return nil
@@ -2181,10 +2157,8 @@ func (b *Broker) Close() error {
 			err = cerr
 		}
 	}
-	if b.ownWAL {
-		if cerr := b.store.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := b.store.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

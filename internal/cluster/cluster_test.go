@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -399,13 +400,7 @@ func TestServerStats(t *testing.T) {
 	if _, err := c.Read([]uint32{1}); err != nil {
 		t.Fatal(err)
 	}
-	sc := newServerConn(servers[0].Addr())
-	defer sc.close()
-	st, err := sc.stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Views != 1 || st.Puts == 0 || st.Hits == 0 {
+	if st := servers[0].Stats(); st.Views != 1 || st.Puts == 0 || st.Hits == 0 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -555,7 +550,7 @@ func TestCrashRecoveryReplicationInterplay(t *testing.T) {
 }
 
 func TestProtocolViewRoundTrip(t *testing.T) {
-	v := View{Version: 42, Events: [][]byte{[]byte("a"), {}, []byte("ccc")}}
+	v := View{Version: 42, Events: [][]byte{[]byte("a"), {}, []byte("ccc")}, seqs: []uint64{7, 30, 42}}
 	buf := encodeView(nil, v)
 	got, rest, err := decodeView(buf)
 	if err != nil {
@@ -564,7 +559,7 @@ func TestProtocolViewRoundTrip(t *testing.T) {
 	if len(rest) != 0 {
 		t.Errorf("trailing bytes: %d", len(rest))
 	}
-	if got.Version != 42 || len(got.Events) != 3 || string(got.Events[2]) != "ccc" {
+	if got.Version != 42 || len(got.Events) != 3 || string(got.Events[2]) != "ccc" || !slices.Equal(got.seqs, v.seqs) {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
 	if _, _, err := decodeView([]byte{1, 2}); err == nil {

@@ -428,13 +428,13 @@ func (b *Broker) broadcastPlacement(users ...uint32) {
 }
 
 // broadcastSyncWrite replicates one durably sequenced event to every
-// peer's write-ahead log (per-broker WAL mode only). The send is attempted
-// even to peers currently marked dead — a mislabeled but reachable peer
-// must not silently miss history. Events a peer misses during a true
-// outage are repaired by the recovered peer's next probe: it compares
-// per-origin cursors and pulls exactly the records it missed, without
-// waiting for new user writes. A sampled tc rides the frames, so the
-// trace shows every peer the write touched.
+// peer's write-ahead log. The send is attempted even to peers currently
+// marked dead — a mislabeled but reachable peer must not silently miss
+// history. Events a peer misses during a true outage are repaired by the
+// recovered peer's next probe: it compares per-origin cursors and pulls
+// exactly the records it missed, without waiting for new user writes. A
+// sampled tc rides the frames, so the trace shows every peer the write
+// touched.
 func (b *Broker) broadcastSyncWrite(user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext) {
 	body := encodeSyncWrite(user, seq, at, payload)
 	b.broadcast(true, func(p *peerState) {
@@ -446,8 +446,7 @@ func (b *Broker) broadcastSyncWrite(user uint32, seq uint64, at int64, payload [
 // asks the peer for its per-origin cursors. A failed or malformed answer
 // counts a miss (peerDeathThreshold of them in a row mark the peer dead);
 // an answer marks the peer alive, and catchUpFrom then pulls whatever this
-// broker lacks. Brokers sharing one in-process store see equal cursors and
-// pull nothing.
+// broker lacks.
 func (b *Broker) probe(p *peerState) {
 	respType, body, err := p.conn.roundTrip(opLogCursors, nil)
 	var theirs map[uint64]uint64

@@ -11,12 +11,11 @@ import (
 	"dynasore/internal/membership"
 	"dynasore/internal/telemetry"
 	"dynasore/internal/viewpolicy"
-	"dynasore/internal/wal"
 )
 
-// testBrokerCluster starts nServers cache servers and nBrokers brokers
-// sharing one persistent store, broker i anchored in zone i and server j in
-// zone j (each zone's server in a rack of its own). Listeners are reserved
+// testBrokerCluster starts nServers cache servers and nBrokers brokers,
+// each with its own WAL, broker i anchored in zone i and server j in zone
+// j (each zone's server in a rack of its own). Listeners are reserved
 // up front so every broker knows the full peer list before any peer runs.
 func testBrokerCluster(t *testing.T, nBrokers, nServers int, tweak func(i int, cfg *BrokerConfig)) ([]*Broker, []*Server) {
 	t.Helper()
@@ -31,11 +30,6 @@ func testBrokerCluster(t *testing.T, nBrokers, nServers int, tweak func(i int, c
 		servers = append(servers, s)
 		addrs = append(addrs, s.Addr())
 	}
-	store, err := wal.OpenViewStore(t.TempDir(), 64, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
 	lns := make([]net.Listener, nBrokers)
 	peers := make([]PeerInfo, nBrokers)
 	for i := range lns {
@@ -57,7 +51,7 @@ func testBrokerCluster(t *testing.T, nBrokers, nServers int, tweak func(i int, c
 			ServerAddrs: addrs,
 			Peers:       peers,
 			Self:        i,
-			Store:       store,
+			DataDir:     t.TempDir(),
 			SyncEvery:   50 * time.Millisecond,
 			PolicyEvery: time.Hour, // placement changes only via the read path
 			Placement:   &Placement{Broker: peers[i].Pos, Servers: serverPos},
@@ -413,5 +407,18 @@ func TestRetiredPeerOpsAreRefused(t *testing.T) {
 		if rt, _ := b.handle(telemetry.TraceContext{}, op, make([]byte, 8)); rt != respError {
 			t.Errorf("retired op %d: respType = %d, want respError", op, rt)
 		}
+	}
+}
+
+// TestRetiredServerStatsOpIsRefused: protocol 6 retired the cache
+// server's stats op (code 4); a server answers it with respError, and the
+// codes around it kept their values.
+func TestRetiredServerStatsOpIsRefused(t *testing.T) {
+	if opDeleteView != 3 || opRead != 5 {
+		t.Fatalf("live op codes moved: %d %d", opDeleteView, opRead)
+	}
+	_, servers, _ := testCluster(t, 1, nil)
+	if rt, _ := servers[0].handle(telemetry.TraceContext{}, 4, nil); rt != respError {
+		t.Errorf("retired op 4: respType = %d, want respError", rt)
 	}
 }

@@ -39,7 +39,7 @@ const (
 	opGetView uint8 = iota + 1
 	opPutView
 	opDeleteView
-	opServerStats
+	_ // retired: opServerStats (in-process callers use Server.Stats)
 	// Client <-> broker.
 	opRead
 	opWrite
@@ -116,7 +116,7 @@ const (
 
 // protoVersion is the one protocol version a hello may name; any other
 // is refused with ErrBadVersion.
-const protoVersion = 5
+const protoVersion = 6
 
 // traceFlag in a frame's type byte means a 17-byte trace context (see
 // internal/telemetry) follows the request ID. Op codes stay below it.
@@ -363,32 +363,44 @@ func decodeReadResponse(body []byte) ([]View, []byte, error) {
 }
 
 // View is a producer-pivoted view: the user's latest events, oldest first,
-// plus a version (the WAL sequence number of the newest event).
+// plus a version (the WAL sequence number of the newest event). Each event
+// carries its sequence number, which identifies it cluster-wide (brokers
+// mint from disjoint sequence spaces), so two copies of one user's view
+// merge by it (see mergeViews) instead of one replacing the other.
 type View struct {
 	Version uint64
 	Events  [][]byte
+	// seqs holds each event's sequence number, index-aligned with Events
+	// and strictly ascending. A slice beside Events, not a seq inside
+	// each event, keeps Events the [][]byte that pkg/dynasore's public
+	// View and the gateway hand out without copying.
+	seqs []uint64
 }
 
-// encodeView appends a view's wire form to buf.
+// encodeView appends a view's wire form to buf: uint64(version) |
+// uint16(n) | n × { uint64 seq, uint32 len, payload }.
 func encodeView(buf []byte, v View) []byte {
 	// Grow once per view (amortized): the hot read path encodes a view per
 	// response, and incremental appends would reallocate several times per
 	// call.
 	need := 10
 	for _, e := range v.Events {
-		need += 4 + len(e)
+		need += 12 + len(e)
 	}
 	buf = slices.Grow(buf, need)
 	buf = binary.LittleEndian.AppendUint64(buf, v.Version)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(v.Events)))
-	for _, e := range v.Events {
+	for i, e := range v.Events {
+		buf = binary.LittleEndian.AppendUint64(buf, v.seqs[i])
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e)))
 		buf = append(buf, e...)
 	}
 	return buf
 }
 
-// decodeView parses a view and returns the remaining bytes.
+// decodeView parses a view and returns the remaining bytes. Sequence
+// numbers must strictly ascend: mergeViews relies on it, and the bytes
+// come from the network.
 func decodeView(b []byte) (View, []byte, error) {
 	if len(b) < 10 {
 		return View{}, nil, ErrBadFrame
@@ -397,20 +409,77 @@ func decodeView(b []byte) (View, []byte, error) {
 	count := int(binary.LittleEndian.Uint16(b[8:10]))
 	b = b[10:]
 	v.Events = make([][]byte, 0, count)
+	v.seqs = make([]uint64, 0, count)
 	for i := 0; i < count; i++ {
-		if len(b) < 4 {
+		if len(b) < 12 {
 			return View{}, nil, ErrBadFrame
 		}
-		n := binary.LittleEndian.Uint32(b[0:4])
-		if n > maxEventLen || len(b) < 4+int(n) {
+		seq := binary.LittleEndian.Uint64(b[0:8])
+		n := binary.LittleEndian.Uint32(b[8:12])
+		if n > maxEventLen || len(b) < 12+int(n) || (i > 0 && seq <= v.seqs[i-1]) {
 			return View{}, nil, ErrBadFrame
 		}
 		ev := make([]byte, n)
-		copy(ev, b[4:4+n])
+		copy(ev, b[12:12+n])
 		v.Events = append(v.Events, ev)
-		b = b[4+n:]
+		v.seqs = append(v.seqs, seq)
+		b = b[12+n:]
 	}
 	return v, b, nil
+}
+
+// mergeViews returns the union by sequence number of two copies of one
+// user's view, keeping the newest limit (at least one) events, at the
+// higher of the two versions. The union never duplicates an event and
+// never loses one either copy holds within the limit, so copies put by
+// brokers whose stores differ (a peer's event still in flight) converge
+// whatever order they land in. Where both copies hold an event, in's
+// bytes are kept.
+func mergeViews(cur, in View, limit int) View {
+	version := max(cur.Version, in.Version)
+	// Walk both copies from the newest event down, twice: first to size
+	// the result exactly (a cached view lives long, so slack in it would
+	// be heap) and to learn whether any of cur's own events are in it,
+	// then to fill it.
+	n, i, j, fromCur := 0, len(cur.seqs)-1, len(in.seqs)-1, false
+	for ; n < limit && (i >= 0 || j >= 0); n++ {
+		ni, nj := nextNewest(cur.seqs, in.seqs, i, j)
+		fromCur = fromCur || nj == j
+		i, j = ni, nj
+	}
+	if !fromCur {
+		// The put already holds the union's newest n events — the common
+		// case, a broker's put of a view that grew by one event — so it
+		// is kept as it is, without a copy.
+		k := len(in.seqs) - n
+		return View{Version: version, Events: in.Events[k:], seqs: in.seqs[k:]}
+	}
+	v := View{Version: version, Events: make([][]byte, n), seqs: make([]uint64, n)}
+	i, j = len(cur.seqs)-1, len(in.seqs)-1
+	for k := n - 1; k >= 0; k-- {
+		if ni, nj := nextNewest(cur.seqs, in.seqs, i, j); nj < j {
+			v.Events[k], v.seqs[k] = in.Events[j], in.seqs[j]
+			i, j = ni, nj
+		} else {
+			v.Events[k], v.seqs[k] = cur.Events[i], cur.seqs[i]
+			i = ni
+		}
+	}
+	return v
+}
+
+// nextNewest steps past the newest event not yet taken in a walk down two
+// ascending seq lists, a from index i and b from j: it returns the new
+// indices, having stepped both when the two lists share that seq.
+func nextNewest(a, b []uint64, i, j int) (int, int) {
+	switch {
+	case j < 0 || i >= 0 && a[i] > b[j]:
+		return i - 1, j
+	case i < 0 || b[j] > a[i]:
+		return i, j - 1
+	default:
+		return i - 1, j - 1
+	}
 }
 
 // placementEntry is one user's replica set on the wire: the cache-server
@@ -868,23 +937,29 @@ func decodeStaleRoute(b []byte) (epoch, placement uint64, err error) {
 	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]), nil
 }
 
-// appendPutMeta appends the direct-read fencing metadata to an opPutView
-// body, after the encoded view: uint64(epoch) | uint64(placement). The
+// appendPutMeta appends the put metadata to an opPutView body, after the
+// encoded view: uint64(epoch) | uint64(placement) | uint16(limit). The
 // server learns from it the membership epoch and the placement version of
-// the view it now holds.
-func appendPutMeta(buf []byte, epoch, placement uint64) []byte {
+// the view it now holds, and how many events the merged view may keep —
+// the putting broker's view cap (a view's event count is a uint16 too).
+func appendPutMeta(buf []byte, epoch, placement uint64, limit int) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	return binary.LittleEndian.AppendUint64(buf, placement)
+	buf = binary.LittleEndian.AppendUint64(buf, placement)
+	return binary.LittleEndian.AppendUint16(buf, uint16(limit))
 }
 
 // decodePutMeta reads the put metadata that follows the view. A placement
 // version of 0 is simply a view that was never re-placed — it can never
-// out-fence a lease.
-func decodePutMeta(b []byte) (epoch, placement uint64, err error) {
-	if len(b) < 16 {
-		return 0, 0, ErrBadFrame
+// out-fence a lease. A limit of 0 would cache nothing and is malformed.
+func decodePutMeta(b []byte) (epoch, placement uint64, limit int, err error) {
+	if len(b) < 18 {
+		return 0, 0, 0, ErrBadFrame
 	}
-	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]), nil
+	limit = int(binary.LittleEndian.Uint16(b[16:18]))
+	if limit == 0 {
+		return 0, 0, 0, ErrBadFrame
+	}
+	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]), limit, nil
 }
 
 // appendBrokerStats encodes the respStats body of a broker: eleven fixed
@@ -921,33 +996,6 @@ func decodeBrokerStats(body []byte) (BrokerStats, error) {
 		CatchupRecords:    int64(binary.LittleEndian.Uint64(body[64:72])),
 		Epoch:             binary.LittleEndian.Uint64(body[72:80]),
 		LeaseGrants:       int64(binary.LittleEndian.Uint64(body[80:88])),
-	}, nil
-}
-
-// appendServerStats encodes the respStats body of a cache server:
-// uint32(views) then five 8-byte counters, paired with decodeServerStats.
-func appendServerStats(b []byte, st ServerStats) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(st.Views))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Hits))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Misses))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Puts))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.DirectReads))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.DirectStale))
-	return b
-}
-
-// decodeServerStats parses a cache server's respStats body.
-func decodeServerStats(body []byte) (ServerStats, error) {
-	if len(body) < 44 {
-		return ServerStats{}, ErrBadFrame
-	}
-	return ServerStats{
-		Views:       int(binary.LittleEndian.Uint32(body[0:4])),
-		Hits:        int64(binary.LittleEndian.Uint64(body[4:12])),
-		Misses:      int64(binary.LittleEndian.Uint64(body[12:20])),
-		Puts:        int64(binary.LittleEndian.Uint64(body[20:28])),
-		DirectReads: int64(binary.LittleEndian.Uint64(body[28:36])),
-		DirectStale: int64(binary.LittleEndian.Uint64(body[36:44])),
 	}, nil
 }
 

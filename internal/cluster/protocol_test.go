@@ -131,7 +131,7 @@ func TestParseHello(t *testing.T) {
 			t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)
 		}
 	}
-	if err := parseHello([]byte("XXXX\x04")); !errors.Is(err, ErrBadFrame) {
+	if err := parseHello([]byte("XXXX\x06")); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("bad magic: err = %v, want ErrBadFrame", err)
 	}
 	if err := parseHello([]byte{'D', 'S'}); !errors.Is(err, ErrBadFrame) {
@@ -212,7 +212,7 @@ func TestHelloBadMagicRejected(t *testing.T) {
 // the wire.
 func TestHelloWrongVersionRefused(t *testing.T) {
 	b, _, _ := testCluster(t, 1, nil)
-	for _, v := range []byte{3, protoVersion - 1, protoVersion + 1} {
+	for _, v := range []byte{3, 4, 5, 7} {
 		f := rawHello(t, b.Addr(), append(helloMagic[:], v))
 		if f.msgType != respError {
 			t.Fatalf("version %d: respType = %d, want respError", v, f.msgType)
@@ -511,8 +511,24 @@ func TestMembershipInfoRoundTrip(t *testing.T) {
 	}
 }
 
+// viewOf builds a view holding one event per seq (payload "e<seq>"), at
+// the highest seq as its version.
+func viewOf(seqs ...uint64) View {
+	v := View{Events: make([][]byte, len(seqs)), seqs: seqs}
+	for i, seq := range seqs {
+		v.Events[i] = []byte(fmt.Sprintf("e%d", seq))
+		v.Version = max(v.Version, seq)
+	}
+	return v
+}
+
+// FuzzDecodeView drives the view codec: whatever decodes must re-encode
+// to the identical prefix, so the decoder accepts only the encoder's form
+// (strictly ascending seqs included).
 func FuzzDecodeView(f *testing.F) {
-	f.Add(encodeView(nil, View{Version: 3, Events: [][]byte{[]byte("a"), []byte("bb")}}))
+	f.Add(encodeView(nil, viewOf(3, 5)))
+	f.Add(encodeView(nil, View{Version: 9, Events: [][]byte{{}, []byte("bb")}, seqs: []uint64{0, 1 << 40}}))
+	f.Add(encodeView(nil, viewOf(6, 6)))
 	f.Add([]byte{})
 	f.Add(make([]byte, 10))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -528,6 +544,20 @@ func FuzzDecodeView(f *testing.F) {
 			t.Fatalf("view round trip mismatch")
 		}
 	})
+}
+
+// TestDecodeViewRejectsUnorderedSeqs: mergeViews assumes strictly
+// ascending seqs, and views arrive from the network, so the decoder
+// refuses a view whose seqs descend or repeat.
+func TestDecodeViewRejectsUnorderedSeqs(t *testing.T) {
+	for _, seqs := range [][]uint64{{6, 5}, {5, 5}, {1, 3, 2}} {
+		if _, _, err := decodeView(encodeView(nil, viewOf(seqs...))); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("seqs %v: err = %v, want ErrBadFrame", seqs, err)
+		}
+	}
+	if _, _, err := decodeView(encodeView(nil, viewOf(0, 5, 6))); err != nil {
+		t.Errorf("ascending seqs rejected: %v", err)
+	}
 }
 
 func TestPlacementEntryRoundTrip(t *testing.T) {
@@ -710,7 +740,7 @@ func TestLogRecordsRoundTrip(t *testing.T) {
 func TestDecodersRejectShortBodies(t *testing.T) {
 	view := membership.Seed([]membership.ServerInfo{{Addr: "a:1"}, {Addr: "b:2"}})
 	readResp := appendEpochTrailer(encodeReadResponse([]View{{Version: 1}}), 3)
-	putBody := appendPutMeta(encodeView(nil, View{Version: 1}), 2, 5)
+	putBody := appendPutMeta(encodeView(nil, viewOf(1)), 2, 5, 64)
 	cases := []struct {
 		name   string
 		full   []byte
@@ -720,18 +750,14 @@ func TestDecodersRejectShortBodies(t *testing.T) {
 			_, err := decodeBrokerStats(b)
 			return err
 		}},
-		{"server stats", appendServerStats(nil, ServerStats{Views: 1}), func(b []byte) error {
-			_, err := decodeServerStats(b)
-			return err
-		}},
-		{"put meta", appendPutMeta(nil, 2, 5), func(b []byte) error {
-			_, _, err := decodePutMeta(b)
+		{"put meta", appendPutMeta(nil, 2, 5, 64), func(b []byte) error {
+			_, _, _, err := decodePutMeta(b)
 			return err
 		}},
 		{"put view body", putBody, func(b []byte) error {
 			_, rest, err := decodeView(b)
 			if err == nil {
-				_, _, err = decodePutMeta(rest)
+				_, _, _, err = decodePutMeta(rest)
 			}
 			return err
 		}},
@@ -823,25 +849,30 @@ func TestDirectGetRoundTrip(t *testing.T) {
 }
 
 // TestPutMetaTrailer pins the opPutView body layout: the view, then the
-// fencing metadata, which reads back intact and is required.
+// fencing metadata and the view cap, which read back intact and are
+// required.
 func TestPutMetaTrailer(t *testing.T) {
-	v := View{Version: 9, Events: [][]byte{[]byte("a"), []byte("bc")}}
-	body := appendPutMeta(encodeView(nil, v), 5, 11)
+	v := viewOf(4, 9)
+	body := appendPutMeta(encodeView(nil, v), 5, 11, 16)
 	got, rest, err := decodeView(body)
 	if err != nil || got.Version != 9 || len(got.Events) != 2 {
 		t.Fatalf("view with trailer = %+v, %v", got, err)
 	}
-	epoch, placement, err := decodePutMeta(rest)
-	if err != nil || epoch != 5 || placement != 11 {
-		t.Fatalf("trailer = (%d, %d, %v), want (5, 11, nil)", epoch, placement, err)
+	epoch, placement, limit, err := decodePutMeta(rest)
+	if err != nil || epoch != 5 || placement != 11 || limit != 16 {
+		t.Fatalf("trailer = (%d, %d, %d, %v), want (5, 11, 16, nil)", epoch, placement, limit, err)
 	}
 	// No metadata: a malformed put, not an unknown epoch.
 	_, rest, err = decodeView(encodeView(nil, v))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := decodePutMeta(rest); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := decodePutMeta(rest); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("absent trailer: err = %v, want ErrBadFrame", err)
+	}
+	// A cap of zero events would cache nothing.
+	if _, _, _, err := decodePutMeta(appendPutMeta(nil, 5, 11, 0)); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("zero cap: err = %v, want ErrBadFrame", err)
 	}
 }
 

@@ -499,7 +499,7 @@ func TestReadRepairReinstallsRestartedReplica(t *testing.T) {
 	}
 	// The repaired copy is really on the restarted server, current and
 	// complete.
-	conn := newServerConn(addr)
+	conn := newServerConn(addr, b.cfg.ViewCap)
 	defer conn.close()
 	rv, ok, err := conn.getView(hot, telemetry.TraceContext{})
 	if err != nil || !ok {

@@ -104,19 +104,18 @@ func (s *Server) lookup(user uint32) (cachedView, bool) {
 	return v, ok
 }
 
-// install stores a view unless a newer version is already cached: an
-// out-of-order put of an older version must not clobber a newer view. The
-// stored placement version only ratchets up — a racing put carrying an
-// older token must not lower the fence.
-func (s *Server) install(user uint32, v View, placement uint64) {
+// install merges a put into user's cached view: the union by sequence
+// number of the two, capped at the putting broker's limit, at the higher
+// version (see mergeViews). Brokers whose stores differ — one has not yet
+// applied a peer's event — put views that each lack the other's event,
+// and the merge keeps both whatever order the puts land in. The stored
+// placement version only ratchets up — a racing put carrying an older
+// token must not lower the fence.
+func (s *Server) install(user uint32, v View, placement uint64, limit int) {
 	sh := s.shardOf(user)
 	sh.mu.Lock()
-	if cur, ok := sh.views[user]; !ok || v.Version >= cur.Version {
-		if placement < cur.placement {
-			placement = cur.placement
-		}
-		sh.views[user] = cachedView{View: v, placement: placement}
-	}
+	cur := sh.views[user]
+	sh.views[user] = cachedView{View: mergeViews(cur.View, v, limit), placement: max(placement, cur.placement)}
 	sh.mu.Unlock()
 }
 
@@ -197,13 +196,13 @@ func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		// The fencing metadata follows the view; the epoch piggybacking on
 		// every put keeps a busy server fenced correctly even if it missed
 		// an explicit epoch push.
-		epoch, placement, err := decodePutMeta(rest)
+		epoch, placement, limit, err := decodePutMeta(rest)
 		if err != nil {
 			return respError, errorBody(err.Error())
 		}
 		sp := s.tel.StartSpan(tc, "server.put")
 		s.noteEpoch(epoch)
-		s.install(user, v, placement)
+		s.install(user, v, placement, limit)
 		sp.Stage("install")
 		sp.End()
 		s.puts.Add(1)
@@ -252,8 +251,6 @@ func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		user := binary.LittleEndian.Uint32(body[0:4])
 		s.drop(user)
 		return respOK, nil
-	case opServerStats:
-		return respStats, appendServerStats(nil, s.Stats())
 	default:
 		return respError, errorBody("unknown op")
 	}
@@ -331,14 +328,18 @@ type serverConn struct {
 	addr    string
 	timeout time.Duration
 	sem     chan struct{}
+	// viewCap is the event cap every put asks the server to merge the
+	// view down to: the owning broker's ViewCap (0 on peer connections,
+	// which never put views).
+	viewCap int
 
 	mu     sync.Mutex
 	idle   []net.Conn
 	closed bool
 }
 
-func newServerConn(addr string) *serverConn {
-	return &serverConn{addr: addr, sem: make(chan struct{}, serverPoolSize)}
+func newServerConn(addr string, viewCap int) *serverConn {
+	return &serverConn{addr: addr, viewCap: viewCap, sem: make(chan struct{}, serverPoolSize)}
 }
 
 func newServerConnTimeout(addr string, timeout time.Duration) *serverConn {
@@ -483,13 +484,14 @@ func (c *serverConn) getView(user uint32, tc telemetry.TraceContext) (View, bool
 	}
 }
 
-// putView installs a view replica on the server, stamped with the
-// direct-read fencing tokens: the broker's membership epoch and the user's
-// placement version. A sampled tc makes the server's span join the trace.
+// putView merges a view into the server's copy, stamped with the
+// direct-read fencing tokens — the broker's membership epoch and the
+// user's placement version — and capped at c.viewCap events. A sampled tc
+// makes the server's span join the trace.
 func (c *serverConn) putView(user uint32, v View, epoch, placement uint64, tc telemetry.TraceContext) error {
 	body := binary.LittleEndian.AppendUint32(nil, user)
 	body = encodeView(body, v)
-	body = appendPutMeta(body, epoch, placement)
+	body = appendPutMeta(body, epoch, placement, c.viewCap)
 	return expectOK(c.roundTripTraced(opPutView, body, tc))
 }
 
@@ -516,16 +518,4 @@ func expectOK(respType uint8, respBody []byte, err error) error {
 		return ErrBadFrame
 	}
 	return nil
-}
-
-// stats fetches server statistics.
-func (c *serverConn) stats() (ServerStats, error) {
-	respType, body, err := c.roundTrip(opServerStats, nil)
-	if err != nil {
-		return ServerStats{}, err
-	}
-	if respType != respStats {
-		return ServerStats{}, ErrBadFrame
-	}
-	return decodeServerStats(body)
 }

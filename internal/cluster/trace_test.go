@@ -88,9 +88,6 @@ func TestTraceCrossesEveryLink(t *testing.T) {
 	brokerTel := telemetry.New()
 	brokers, _ := testBrokerCluster(t, 2, 2, func(i int, cfg *BrokerConfig) {
 		cfg.Telemetry = brokerTel
-		// Per-broker WALs, so the write is replicated to the peer.
-		cfg.Store = nil
-		cfg.DataDir = t.TempDir()
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

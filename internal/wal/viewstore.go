@@ -206,13 +206,6 @@ func (vs *ViewStore) Version(user uint32) uint64 {
 	return vs.version[user]
 }
 
-// Users returns the number of users with at least one event.
-func (vs *ViewStore) Users() int {
-	vs.mu.RLock()
-	defer vs.mu.RUnlock()
-	return len(vs.views)
-}
-
 // Snapshot captures the store's recoverable state at one consistent
 // moment: the returned snapshot covers exactly the records appended before
 // its Pos. Record payloads are shared with the live store and must be

@@ -440,8 +440,8 @@ func TestViewStoreBasics(t *testing.T) {
 	if got, _ := vs.View(99); len(got) != 0 {
 		t.Errorf("missing user view has %d events", len(got))
 	}
-	if vs.Users() != 1 {
-		t.Errorf("Users = %d, want 1", vs.Users())
+	if n := len(vs.Snapshot().Views); n != 1 {
+		t.Errorf("users = %d, want 1", n)
 	}
 	if err := vs.Close(); err != nil {
 		t.Fatal(err)
@@ -471,8 +471,8 @@ func TestViewStoreCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer vs2.Close()
-	if vs2.Users() != 4 {
-		t.Fatalf("recovered %d users, want 4", vs2.Users())
+	if n := len(vs2.Snapshot().Views); n != 4 {
+		t.Fatalf("recovered %d users, want 4", n)
 	}
 	view, ver := vs2.View(3)
 	if len(view) != 3 || ver != wantVer {

@@ -22,7 +22,7 @@
 // they share the cache servers and placement state, elect the
 // smallest-position broker to run the placement policy over the whole
 // cluster's traffic, and replicate every durable write between their
-// write-ahead logs (or share one in-process store, see OpenStore).
+// write-ahead logs.
 package dynasore
 
 import (

@@ -19,7 +19,7 @@ type EngineConfig struct {
 	// directory that is removed on Close (views then survive cache wipes,
 	// but not Engine restarts).
 	DataDir string
-	// ViewCap bounds events kept per view (default 64).
+	// ViewCap bounds events kept per view (default 64, at most 65535).
 	ViewCap int
 	// Placement positions the broker and every cache server in the
 	// datacenter tree the placement policy plans over. Nil derives a

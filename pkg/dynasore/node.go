@@ -5,33 +5,7 @@ import (
 	"time"
 
 	"dynasore/internal/cluster"
-	"dynasore/internal/wal"
 )
-
-// PersistentStore is the WAL-backed durable view store brokers write
-// through (§3.3). Open one explicitly only to share it between several
-// in-process brokers of a multi-broker cluster; a standalone broker opens
-// its own from BrokerConfig.DataDir.
-type PersistentStore struct {
-	vs *wal.ViewStore
-}
-
-// OpenStore opens (or recovers) a persistent store in dir, keeping up to
-// viewCap events per user view (default 64).
-func OpenStore(dir string, viewCap int) (*PersistentStore, error) {
-	vs, err := wal.OpenViewStore(dir, viewCap, wal.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &PersistentStore{vs: vs}, nil
-}
-
-// Users returns the number of users with at least one durable event.
-func (s *PersistentStore) Users() int { return s.vs.Users() }
-
-// Close closes the underlying write-ahead log. Close the brokers sharing
-// the store first.
-func (s *PersistentStore) Close() error { return s.vs.Close() }
 
 // BrokerPeer identifies one broker of a multi-broker cluster: the address
 // its peers dial it on and its position in the datacenter tree — the
@@ -80,7 +54,7 @@ type BrokerConfig struct {
 	CacheServerAddrs []string
 	// DataDir holds the write-ahead log of the persistent store.
 	DataDir string
-	// ViewCap bounds events kept per view (default 64).
+	// ViewCap bounds events kept per view (default 64, at most 65535).
 	ViewCap int
 	// Placement positions the broker and every cache server in the
 	// datacenter tree the placement policy plans over. Nil derives a
@@ -112,17 +86,11 @@ type BrokerConfig struct {
 	Self int
 	// SyncEvery is the interval of the peer-sync pass (default 1s).
 	SyncEvery time.Duration
-	// Store, when non-nil, is a shared in-process persistent store used
-	// instead of DataDir; the broker does not close it. Without it, each
-	// broker of a multi-broker cluster keeps its own WAL and writes are
-	// replicated between the logs.
-	Store *PersistentStore
 	// CheckpointEvery enables the durability/recovery subsystem: the
 	// broker periodically snapshots its persistent store to an atomic
 	// checkpoint file in DataDir (plus a parting snapshot on Close), and
 	// restarts load the snapshot and replay only the WAL tail. Zero
-	// disables periodic checkpoints. Ignored when Store is set — a shared
-	// store is its owner's to checkpoint.
+	// disables periodic checkpoints.
 	CheckpointEvery time.Duration
 	// CompactAfter enables WAL compaction: after a checkpoint, if at
 	// least this many whole WAL segments are fully covered by it, they
@@ -131,8 +99,6 @@ type BrokerConfig struct {
 	// WALSyncEvery is the WAL's group-commit cadence: fsync after every
 	// WALSyncEvery-th append (and always on segment rotation and Close).
 	// Zero keeps the prototype default of trusting the OS page cache.
-	// Ignored when Store is set — a shared store's durability knobs are
-	// fixed when it is opened.
 	WALSyncEvery int
 }
 
@@ -148,10 +114,6 @@ type Broker struct {
 
 // ListenBroker starts a broker node.
 func ListenBroker(cfg BrokerConfig) (*Broker, error) {
-	var store *wal.ViewStore
-	if cfg.Store != nil {
-		store = cfg.Store.vs
-	}
 	peers := make([]cluster.PeerInfo, len(cfg.Peers))
 	for i, p := range cfg.Peers {
 		peers[i] = cluster.PeerInfo{Addr: p.Addr, Pos: cluster.Position(p.Pos)}
@@ -171,7 +133,6 @@ func ListenBroker(cfg BrokerConfig) (*Broker, error) {
 		Peers:           peers,
 		Self:            cfg.Self,
 		SyncEvery:       cfg.SyncEvery,
-		Store:           store,
 		CheckpointEvery: cfg.CheckpointEvery,
 		CompactAfter:    cfg.CompactAfter,
 		WALSyncEvery:    cfg.WALSyncEvery,
@@ -222,6 +183,6 @@ func (b *Broker) Leader() int { return b.b.Leader() }
 // not cluster-summed — compare ClusterClient.Stats).
 func (b *Broker) Stats() Stats { return fromClusterStats(b.b.Stats()) }
 
-// Close stops the broker, its server and peer connections, and — unless it
-// was handed a shared Store — the persistent store.
+// Close stops the broker, its server and peer connections, and the
+// persistent store.
 func (b *Broker) Close() error { return b.b.Close() }
