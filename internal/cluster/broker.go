@@ -116,11 +116,6 @@ type BrokerConfig struct {
 	// least this many whole WAL segments are fully covered by it, they
 	// are deleted. Zero disables compaction.
 	CompactAfter int
-	// LeaseTTL bounds how long a direct-read lease stays valid on a
-	// client before it must re-lease from the broker (default 5s). Short
-	// enough that a lost invalidation self-heals quickly; long enough
-	// that a hot reader amortizes the grant over many direct reads.
-	LeaseTTL time.Duration
 	// WALSyncEvery enables group commit on the broker's WAL: fsync once
 	// per this many appends (0 keeps the default no-per-append-fsync
 	// behaviour).
@@ -144,9 +139,6 @@ func (c BrokerConfig) withDefaults() BrokerConfig {
 	}
 	if c.SyncEvery <= 0 {
 		c.SyncEvery = time.Second
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 5 * time.Second
 	}
 	if c.Policy.Slots <= 0 {
 		c.Policy.Slots = 8
@@ -195,18 +187,22 @@ func defaultPlacement(preferred, servers int) *Placement {
 // reason.
 type serverTable struct {
 	view  membership.View
-	conns []*serverConn // per slot; nil for dead slots
+	conns []*Client // per slot; nil for dead slots
 	topo  *topology.Topology
 	pol   *viewpolicy.Engine
 	load  []*atomic.Int64 // views per slot (broker's accounting)
 }
+
+// serverPoolSize is how many multiplexed connections a broker keeps to
+// each cache server and peer broker.
+const serverPoolSize = 4
 
 // home returns the slot user's view homes on under this table's epoch.
 func (t *serverTable) home(user uint32) int { return t.view.Home(user) }
 
 // conn returns the slot's connection, or nil when the slot is out of this
 // table's range (a concurrent epoch added it) or dead.
-func (t *serverTable) conn(idx int) *serverConn {
+func (t *serverTable) conn(idx int) *Client {
 	if idx < 0 || idx >= len(t.conns) {
 		return nil
 	}
@@ -337,10 +333,7 @@ type Broker struct {
 	evictFloor []float64 // per machine: weakest evictable utility
 	minThr     map[topology.Origin]float64
 
-	ln     net.Listener
-	conns  sync.WaitGroup
-	connMu sync.Mutex
-	active map[net.Conn]struct{}
+	srv    *listener
 	closed atomic.Bool
 	stop   chan struct{}
 	loops  sync.WaitGroup
@@ -463,7 +456,6 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 		repReads:  make(map[repKey]uint32),
 		repWrites: make(map[uint32]uint32),
 		minThr:    make(map[topology.Origin]float64),
-		active:    make(map[net.Conn]struct{}),
 		stop:      make(chan struct{}),
 	}
 	b.tel = cfg.Telemetry
@@ -497,12 +489,11 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 			return nil, errors.Join(fmt.Errorf("cluster: listen: %w", err), store.Close())
 		}
 	}
-	b.ln = ln
 	for i, p := range peers {
 		if i == selfIdx {
 			continue
 		}
-		ps := &peerState{idx: i, info: p, conn: newServerConnTimeout(p.Addr, peerTimeout(cfg.SyncEvery))}
+		ps := &peerState{idx: i, info: p, conn: newClient(p.Addr, serverPoolSize, b.tel), timeout: peerTimeout(cfg.SyncEvery)}
 		ps.alive.Store(true) // optimistic until the first probe round
 		b.peers[i] = ps
 	}
@@ -525,8 +516,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 	// Teach the cache servers the starting epoch so direct reads work
 	// before the first write or membership change reaches them.
 	b.pushEpochAll(tab)
-	b.conns.Add(1)
-	go b.acceptLoop()
+	b.srv = serve(ln, b.handle)
 	b.loops.Add(1)
 	go b.maintainLoop()
 	if b.nBrokers > 1 {
@@ -544,7 +534,7 @@ func (b *Broker) Recovery() (fromCheckpoint bool, replayed int) {
 }
 
 // Addr returns the broker's client-facing address.
-func (b *Broker) Addr() string { return b.ln.Addr().String() }
+func (b *Broker) Addr() string { return b.srv.ln.Addr().String() }
 
 // table returns the broker's current epoch-versioned server table. Every
 // operation grabs it once and works against that one consistent snapshot.
@@ -618,7 +608,7 @@ func (b *Broker) buildTable(view membership.View, old *serverTable) (*serverTabl
 	}
 	t := &serverTable{
 		view:  view,
-		conns: make([]*serverConn, len(view.Servers)),
+		conns: make([]*Client, len(view.Servers)),
 		topo:  topo,
 		pol:   viewpolicy.New(topo, b.cfg.Policy),
 		load:  make([]*atomic.Int64, len(view.Servers)),
@@ -636,17 +626,25 @@ func (b *Broker) buildTable(view membership.View, old *serverTable) (*serverTabl
 			old.view.Servers[i].Addr == s.Addr {
 			t.conns[i] = old.conns[i]
 		} else {
-			t.conns[i] = newServerConn(s.Addr, b.cfg.ViewCap)
+			t.conns[i] = newClient(s.Addr, serverPoolSize, b.tel)
 		}
 	}
 	return t, nil
 }
 
+// retireGrace is how long the link of a slot dropped from the server
+// table keeps serving: an operation that loaded the old table just before
+// the swap (a write between its WAL append and its replica puts) still
+// finishes against it. Later calls on the closed link report
+// ErrStaleEpoch.
+const retireGrace = 5 * time.Second
+
 // installLocked publishes a superseding membership view: it builds the
 // successor table, grows the policy-threshold arrays to the new topology,
 // swaps the table pointer, and retires replaced slots (their connections
-// close, and newly dead slots' replicas are dropped from every placement
-// entry — reads fall back to surviving replicas or the WAL). Caller holds
+// close after retireGrace, and newly dead slots' replicas are dropped from
+// every placement entry — reads fall back to surviving replicas or the
+// WAL). Caller holds
 // membMu. Installing a view that does not supersede the current one is a
 // no-op.
 func (b *Broker) installLocked(next membership.View) error {
@@ -673,7 +671,7 @@ func (b *Broker) installLocked(next membership.View) error {
 		}
 		// The slot died, or (equal-epoch conflict resolution) its address
 		// changed; either way the old connection is retired.
-		old.conns[i].close()
+		time.AfterFunc(retireGrace, func() { old.conns[i].Close() })
 		if i < len(next.Servers) && next.Servers[i].State == membership.StateDead {
 			b.purgeServer(nt, i)
 		}
@@ -1095,7 +1093,7 @@ func (b *Broker) writeTraced(user uint32, payload []byte, sp *telemetry.Span) (u
 			failed = append(failed, idx)
 			continue
 		}
-		if err := conn.putView(user, view, t.view.Epoch, pv, sp.Context()); err != nil {
+		if err := conn.putView(user, view, t.view.Epoch, pv, b.cfg.ViewCap, sp.Context()); err != nil {
 			errs = append(errs, fmt.Errorf("update replica on %s: %w", t.label(idx), err))
 			failed = append(failed, idx)
 		}
@@ -1203,9 +1201,15 @@ func (b *Broker) readOneTraced(user uint32, tc telemetry.TraceContext) (View, er
 	return v, nil
 }
 
+// leaseTTL bounds how long a direct-read lease stays valid on a client
+// before it must re-lease from the broker: short enough that a lost
+// invalidation self-heals quickly, long enough that a hot reader
+// amortizes the grant over many direct reads.
+const leaseTTL = 5 * time.Second
+
 // leaseFor mints a direct-read lease for user: the dialable addresses of
 // its replica set plus the two fencing tokens (membership epoch and
-// placement version) and the configured TTL. Issuance piggybacks on the
+// placement version) and leaseTTL. Issuance piggybacks on the
 // placement table the read path already maintains — one table snapshot,
 // one shard-lock hold, no network I/O.
 func (b *Broker) leaseFor(user uint32) (Lease, error) {
@@ -1220,7 +1224,7 @@ func (b *Broker) leaseFor(user uint32) (Lease, error) {
 	order := append([]int(nil), meta.order...)
 	pv := meta.pv
 	sh.mu.Unlock()
-	l := Lease{User: user, Epoch: t.view.Epoch, Placement: pv, TTL: b.cfg.LeaseTTL}
+	l := Lease{User: user, Epoch: t.view.Epoch, Placement: pv, TTL: leaseTTL}
 	for _, idx := range order {
 		if idx < 0 || idx >= len(t.view.Servers) || t.conn(idx) == nil {
 			continue // a slot from another epoch, or a dead tombstone
@@ -1273,7 +1277,7 @@ func (b *Broker) readdReplica(user uint32, idx int, v View) bool {
 	if conn == nil {
 		return false
 	}
-	if err := conn.putView(user, v, t.view.Epoch, b.pvOf(user), telemetry.TraceContext{}); err != nil {
+	if err := conn.putView(user, v, t.view.Epoch, b.pvOf(user), b.cfg.ViewCap, telemetry.TraceContext{}); err != nil {
 		return false
 	}
 	now := time.Now().Unix()
@@ -1289,7 +1293,7 @@ func (b *Broker) readdReplica(user uint32, idx int, v View) bool {
 	t.load[idx].Add(1)
 	pv := meta.pv
 	sh.mu.Unlock()
-	added := conn.putView(user, b.currentView(user), t.view.Epoch, pv, telemetry.TraceContext{}) == nil
+	added := conn.putView(user, b.currentView(user), t.view.Epoch, pv, b.cfg.ViewCap, telemetry.TraceContext{}) == nil
 	if !added {
 		b.removeReplica(user, idx)
 	}
@@ -1348,7 +1352,7 @@ func (b *Broker) readReplica(t *serverTable, user uint32, idx int, tc telemetry.
 			// lags an acknowledged write.
 			v = pv
 		}
-		if err := conn.putView(user, v, t.view.Epoch, b.pvOf(user), telemetry.TraceContext{}); err != nil {
+		if err := conn.putView(user, v, t.view.Epoch, b.pvOf(user), b.cfg.ViewCap, telemetry.TraceContext{}); err != nil {
 			return View{}, fmt.Errorf("cache fill on %s: %w", t.label(idx), err)
 		}
 	case v.Version < b.store.Version(user):
@@ -1358,7 +1362,7 @@ func (b *Broker) readReplica(t *serverTable, user uint32, idx int, tc telemetry.
 		// provable view and repair the replica in place so the staleness
 		// cannot outlive this read.
 		v = b.freshestView(t, user, b.ReplicaSet(user))
-		_ = conn.putView(user, v, t.view.Epoch, b.pvOf(user), telemetry.TraceContext{})
+		_ = conn.putView(user, v, t.view.Epoch, b.pvOf(user), b.cfg.ViewCap, telemetry.TraceContext{})
 	}
 	return v, nil
 }
@@ -1403,7 +1407,7 @@ func (b *Broker) peerFreshestView(user uint32, floor uint64) (View, bool) {
 		if p == nil || !p.alive.Load() {
 			continue
 		}
-		respType, body, err := p.conn.roundTrip(opViewPull, binary.LittleEndian.AppendUint32(nil, user))
+		respType, body, err := p.roundTrip(opViewPull, binary.LittleEndian.AppendUint32(nil, user))
 		if err != nil || respType != respView {
 			continue
 		}
@@ -1431,7 +1435,7 @@ func (b *Broker) raiseSurvivors(t *serverTable, user uint32, survivors []int, v 
 	pv := b.pvOf(user)
 	for _, ridx := range survivors {
 		if conn := t.conn(ridx); conn != nil {
-			_ = conn.putView(user, v, t.view.Epoch, pv, telemetry.TraceContext{})
+			_ = conn.putView(user, v, t.view.Epoch, pv, b.cfg.ViewCap, telemetry.TraceContext{})
 		}
 	}
 }
@@ -1533,7 +1537,7 @@ func (b *Broker) applyCreate(now int64, user uint32, d viewpolicy.Decision) {
 	// older view than the copies it joins. A copy that cannot be seeded
 	// leaves the set again.
 	if conn := t.conn(target); conn == nil ||
-		conn.putView(user, b.freshestView(t, user, existing), t.view.Epoch, pv, telemetry.TraceContext{}) != nil {
+		conn.putView(user, b.freshestView(t, user, existing), t.view.Epoch, pv, b.cfg.ViewCap, telemetry.TraceContext{}) != nil {
 		b.removeReplica(user, target)
 	} else {
 		b.replicated.Add(1)
@@ -1578,7 +1582,7 @@ func (b *Broker) migrateReplica(now int64, user uint32, source int, d viewpolicy
 	// are fenced at the target until they re-lease.
 	fv := b.freshestView(t, user, []int{source})
 	migrated := true
-	if conn := t.conn(target); conn == nil || conn.putView(user, fv, t.view.Epoch, pv, telemetry.TraceContext{}) != nil {
+	if conn := t.conn(target); conn == nil || conn.putView(user, fv, t.view.Epoch, pv, b.cfg.ViewCap, telemetry.TraceContext{}) != nil {
 		// The replica set still names target; reads will refill it from
 		// the WAL once the server is reachable, or drop it as dead.
 		migrated = false
@@ -1922,30 +1926,6 @@ func (b *Broker) Stats() BrokerStats {
 	return st
 }
 
-func (b *Broker) acceptLoop() {
-	defer b.conns.Done()
-	for {
-		conn, err := b.ln.Accept()
-		if err != nil {
-			return
-		}
-		b.connMu.Lock()
-		b.active[conn] = struct{}{}
-		b.connMu.Unlock()
-		b.conns.Add(1)
-		go func() {
-			defer b.conns.Done()
-			defer func() {
-				b.connMu.Lock()
-				delete(b.active, conn)
-				b.connMu.Unlock()
-				conn.Close()
-			}()
-			serveFrames(conn, b.handle)
-		}()
-	}
-}
-
 func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (uint8, []byte) {
 	switch msgType {
 	case opRead:
@@ -2097,7 +2077,7 @@ func (b *Broker) handleAdmin(msgType uint8, body []byte) (uint8, []byte) {
 		if leader == nil || !leader.alive.Load() {
 			return respError, errorBody("membership change: no reachable leader")
 		}
-		respType, respBody, err := leader.conn.roundTrip(msgType, body)
+		respType, respBody, err := leader.roundTrip(msgType, body)
 		if err != nil {
 			return respError, errorBody("forward membership change to leader: " + err.Error())
 		}
@@ -2133,21 +2113,15 @@ func (b *Broker) Close() error {
 	b.bgDone = true
 	b.bgMu.Unlock()
 	b.bg.Wait()
-	err := b.ln.Close()
-	b.connMu.Lock()
-	for conn := range b.active {
-		conn.Close()
-	}
-	b.connMu.Unlock()
-	b.conns.Wait()
+	err := b.srv.close()
 	for _, sc := range b.table().conns {
 		if sc != nil {
-			sc.close()
+			sc.Close()
 		}
 	}
 	for _, p := range b.peers {
 		if p != nil {
-			p.conn.close()
+			p.conn.Close()
 		}
 	}
 	if b.ckpt != nil {

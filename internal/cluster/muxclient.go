@@ -13,27 +13,28 @@ import (
 	"dynasore/internal/telemetry"
 )
 
-// Client talks the paper's API (§3.1) to a broker: Read(u, L) fetches the
-// views of the users in L; Write(u) publishes a new event to u's view.
-// Every request carries an ID, so many requests are in flight concurrently
-// on each connection: a writer tags the frame, a per-connection reader
-// goroutine demuxes responses to the waiting callers. A small pool of such
-// connections spreads load further. All methods are safe for concurrent
-// use and honor context cancellation; a request whose context is already
-// done is never sent.
+// Client is the one client-side connection type of the wire protocol. It
+// talks the paper's API (§3.1) to a broker — Read(u, L) fetches the views
+// of the users in L; Write(u) publishes a new event to u's view — and it
+// is also every link a DirectReader keeps to a cache server and a broker
+// keeps to its cache servers and peer brokers. Every request carries an
+// ID, so many requests are in flight concurrently on each connection: a
+// writer tags the frame, a per-connection reader goroutine demuxes
+// responses to the waiting callers. A small pool of such connections
+// spreads load further. All methods are safe for concurrent use and honor
+// context cancellation; a request whose context is already done is never
+// sent.
 type Client struct {
-	addr        string
-	dialTimeout time.Duration
-	conns       []*muxConn
-	next        atomic.Uint64
-	closed      atomic.Bool
+	addr   string
+	conns  []*muxConn
+	next   atomic.Uint64
+	closed atomic.Bool
 	// epoch is the highest membership epoch observed in read and write
 	// response trailers — how a client notices the cluster's cache-server
 	// set changed without polling.
 	epoch atomic.Uint64
 
-	// tel mints trace contexts and records client-side op latency; it is
-	// the process Default() unless a test swaps in an isolated Node.
+	// tel mints trace contexts and records client-side op latency.
 	tel       *telemetry.Node
 	readHist  *telemetry.Histogram
 	writeHist *telemetry.Histogram
@@ -43,28 +44,37 @@ type Client struct {
 // poolSize <= 0.
 const DefaultPoolSize = 2
 
+// dialTimeout bounds a dial whose context carries no earlier deadline.
+const dialTimeout = 10 * time.Second
+
 // Dial connects to a broker (or, for direct reads, a cache server) with
 // poolSize multiplexed connections (DefaultPoolSize if <= 0). The first
 // connection is established eagerly so hello failures surface
 // immediately; the rest are dialed lazily on first use.
 func Dial(ctx context.Context, addr string, poolSize int) (*Client, error) {
-	if poolSize <= 0 {
-		poolSize = DefaultPoolSize
-	}
-	c := &Client{addr: addr, dialTimeout: 10 * time.Second}
-	c.setTelemetry(telemetry.Default())
-	for i := 0; i < poolSize; i++ {
-		c.conns = append(c.conns, &muxConn{client: c})
-	}
+	c := newClient(addr, poolSize, telemetry.Default())
 	if err := c.conns[0].connect(ctx); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// setTelemetry redirects the client's sampling and latency instruments
-// to an isolated Node — used by tests that must not share the process
-// default.
+// newClient returns a client for addr that dials nothing until its first
+// request, with its instruments on tel.
+func newClient(addr string, poolSize int, tel *telemetry.Node) *Client {
+	if poolSize <= 0 {
+		poolSize = DefaultPoolSize
+	}
+	c := &Client{addr: addr}
+	c.setTelemetry(tel)
+	for i := 0; i < poolSize; i++ {
+		c.conns = append(c.conns, &muxConn{client: c})
+	}
+	return c
+}
+
+// setTelemetry puts the client's sampling and latency instruments on n;
+// tests that must not share a node call it again with an isolated one.
 func (c *Client) setTelemetry(n *telemetry.Node) {
 	c.tel = n
 	c.readHist = n.Histogram("dynasore_client_op_seconds", "Client-observed end-to-end op latency.", "op", "read")
@@ -107,17 +117,17 @@ func (m *muxConn) connect(ctx context.Context) error {
 	if m.client.closed.Load() {
 		return net.ErrClosed
 	}
-	d := net.Dialer{Timeout: m.client.dialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", m.client.addr)
 	if err != nil {
-		return fmt.Errorf("cluster: dial broker: %w", err)
+		return fmt.Errorf("cluster: dial %s: %w", m.client.addr, err)
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(deadline)
 	}
 	if err := clientHello(conn); err != nil {
 		conn.Close()
-		return err
+		return fmt.Errorf("cluster: hello %s: %w", m.client.addr, err)
 	}
 	conn.SetDeadline(time.Time{})
 	m.conn = conn
@@ -251,6 +261,88 @@ func (c *Client) doTraced(ctx context.Context, msgType uint8, body []byte, tc te
 		return 0, nil, net.ErrClosed
 	}
 	return c.pick().do(ctx, msgType, body, tc)
+}
+
+// roundTrip performs one round trip on a broker's link to a cache server
+// or peer broker. A failed dial is reported at once; a connection that
+// breaks under the request is torn down and the request retried once on
+// a fresh dial, so a server restarted since the last request is never
+// reported unreachable. Only idempotent ops go this way — puts merge by
+// sequence number, sync writes apply idempotently, pulls and probes are
+// reads; API requests are never resent. A retired (closed) link reports
+// ErrStaleEpoch: the operation acted under a membership table the broker
+// has since replaced.
+func (c *Client) roundTrip(ctx context.Context, msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
+	m := c.pick()
+	var respType uint8
+	var respBody []byte
+	err := m.connect(ctx)
+	if err == nil {
+		respType, respBody, err = m.do(ctx, msgType, body, tc)
+		if err != nil && ctx.Err() == nil && !c.closed.Load() {
+			respType, respBody, err = m.do(ctx, msgType, body, tc)
+		}
+	}
+	if err != nil && c.closed.Load() {
+		err = fmt.Errorf("cluster: link to %s retired: %w", c.addr, ErrStaleEpoch)
+	}
+	return respType, respBody, err
+}
+
+// getView fetches a view from a cache server; ok is false on a cache
+// miss. A sampled tc makes the cache server's span join the trace.
+func (c *Client) getView(user uint32, tc telemetry.TraceContext) (View, bool, error) {
+	respType, respBody, err := c.roundTrip(context.Background(), opGetView, binary.LittleEndian.AppendUint32(nil, user), tc)
+	if err != nil {
+		return View{}, false, err
+	}
+	switch respType {
+	case respView:
+		v, _, err := decodeView(respBody)
+		return v, true, err
+	case respMiss:
+		return View{}, false, nil
+	case respError:
+		return View{}, false, asRemoteError(respBody)
+	default:
+		return View{}, false, ErrBadFrame
+	}
+}
+
+// putView merges a view into a cache server's copy, stamped with the
+// direct-read fencing tokens — the broker's membership epoch and the
+// user's placement version — and capped at limit events. A sampled tc
+// makes the server's span join the trace.
+func (c *Client) putView(user uint32, v View, epoch, placement uint64, limit int, tc telemetry.TraceContext) error {
+	body := binary.LittleEndian.AppendUint32(nil, user)
+	body = encodeView(body, v)
+	body = appendPutMeta(body, epoch, placement, limit)
+	return expectOK(c.roundTrip(context.Background(), opPutView, body, tc))
+}
+
+// pushEpoch teaches a cache server the broker's current membership epoch,
+// so direct reads fence correctly on servers that receive no puts.
+func (c *Client) pushEpoch(epoch uint64) error {
+	return expectOK(c.roundTrip(context.Background(), opEpochPush, binary.LittleEndian.AppendUint64(nil, epoch), telemetry.TraceContext{}))
+}
+
+// deleteView removes a replica from a cache server.
+func (c *Client) deleteView(user uint32) error {
+	return expectOK(c.roundTrip(context.Background(), opDeleteView, binary.LittleEndian.AppendUint32(nil, user), telemetry.TraceContext{}))
+}
+
+// expectOK maps a round trip's outcome to nil for respOK and to an error
+// otherwise.
+func expectOK(respType uint8, respBody []byte, err error) error {
+	switch {
+	case err != nil:
+		return err
+	case respType == respError:
+		return asRemoteError(respBody)
+	case respType != respOK:
+		return ErrBadFrame
+	}
+	return nil
 }
 
 // Read fetches the views of every user in targets, in order. Requests

@@ -422,3 +422,83 @@ func TestRetiredServerStatsOpIsRefused(t *testing.T) {
 		t.Errorf("retired op 4: respType = %d, want respError", rt)
 	}
 }
+
+// TestHungPeerIsMarkedDead pins the deadline every peer link keeps: a peer
+// that accepts connections and never answers costs each probe at most the
+// peer timeout, two failed probes mark it dead, and the next sync round
+// elects this broker in its place.
+func TestHungPeerIsMarkedDead(t *testing.T) {
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		held []net.Conn
+	)
+	go func() {
+		for {
+			c, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		hung.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	self, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := []PeerInfo{
+		{Addr: hung.Addr().String(), Pos: Position{Zone: 0}},
+		{Addr: self.Addr().String(), Pos: Position{Zone: 1}},
+	}
+	b, err := NewBroker(BrokerConfig{
+		Listener:    self,
+		ServerAddrs: []string{srv.Addr()},
+		Peers:       peers,
+		Self:        1,
+		DataDir:     t.TempDir(),
+		SyncEvery:   250 * time.Millisecond,
+		PolicyEvery: time.Hour,
+		Placement:   &Placement{Broker: peers[1].Pos, Servers: []Position{{Zone: 1, Rack: 1}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	if b.IsLeader() {
+		t.Fatal("broker leads before the smaller-positioned peer was ever probed")
+	}
+	p := b.peers[0]
+	timeout := peerTimeout(b.cfg.SyncEvery)
+	for round := 0; round < peerDeathThreshold; round++ {
+		start := time.Now()
+		b.probe(p)
+		if took := time.Since(start); took > timeout+500*time.Millisecond {
+			t.Fatalf("probe %d of the hung peer took %v, want within the peer timeout %v", round, took, timeout)
+		}
+	}
+	if p.alive.Load() {
+		t.Fatal("hung peer still alive after two failed probes")
+	}
+	b.SyncNow()
+	if !b.IsLeader() {
+		t.Fatalf("broker did not elect itself once the hung peer died; leader = %d", b.Leader())
+	}
+}

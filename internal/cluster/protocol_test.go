@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,6 +268,40 @@ func TestFirstFrameNotHelloClosesConnection(t *testing.T) {
 	}
 	if st := b.Stats(); st.Writes != 0 {
 		t.Errorf("broker writes = %d, want 0", st.Writes)
+	}
+}
+
+// TestDialErrorsNameAddress: a failed dial and a failed hello both name
+// the address, whichever kind of node the client was dialing.
+func TestDialErrorsNameAddress(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close() // hang up before answering the hello
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goneAddr := gone.Addr().String()
+	gone.Close()
+	for _, tc := range []struct{ addr, want string }{
+		{goneAddr, "cluster: dial " + goneAddr},
+		{ln.Addr().String(), "cluster: hello " + ln.Addr().String()},
+	} {
+		_, err := Dial(context.Background(), tc.addr, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Dial(%s) = %v, want an error containing %q", tc.addr, err, tc.want)
+		}
 	}
 }
 

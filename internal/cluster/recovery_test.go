@@ -434,6 +434,64 @@ func TestCatchUpConvergesPastUnservableGap(t *testing.T) {
 	}
 }
 
+// restartServer starts a fresh, empty cache server on addr, retrying
+// briefly while the old one's port becomes bindable again.
+func restartServer(t *testing.T, addr string) *Server {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s, err := NewServer(addr)
+		if err == nil {
+			t.Cleanup(func() { s.Close() })
+			return s
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rebind server %s: %v", addr, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestRestartedServerKeepsReplica pins the broker's one retry on a fresh
+// connection: a write that finds its connection to a restarted cache
+// server broken redials and succeeds, so the replica is neither reported
+// failed nor dropped.
+func TestRestartedServerKeepsReplica(t *testing.T) {
+	b, servers, _ := testCluster(t, 2, func(cfg *BrokerConfig) {
+		cfg.Preferred = 1
+		cfg.PolicyEvery = time.Hour
+		cfg.Policy.AdmissionEpsilon = 100
+	})
+	hot := userHomedOn(t, b, 0)
+	if _, err := b.Write(hot, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]uint32, 32)
+	for i := range targets {
+		targets[i] = hot
+	}
+	for round := 0; round < 4 && b.ReplicaCount(hot) < 2; round++ {
+		if _, err := b.Read(targets); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replicas := b.ReplicaCount(hot)
+	if replicas < 2 {
+		t.Fatalf("hot view has %d replicas, want 2", replicas)
+	}
+	for i, s := range servers {
+		addr := s.Addr()
+		s.Close()
+		restartServer(t, addr)
+		if _, err := b.Write(hot, []byte(fmt.Sprintf("after restart %d", i))); err != nil {
+			t.Fatalf("write after restarting server %d: %v", i, err)
+		}
+		if got := b.ReplicaCount(hot); got != replicas {
+			t.Fatalf("replicas after restarting server %d = %d, want %d", i, got, replicas)
+		}
+	}
+}
+
 // TestReadRepairReinstallsRestartedReplica pins the read-repair path: a
 // replica that fails a read is dropped and the view is served by the
 // surviving replica; once the failed server is back, the repair probe
@@ -480,27 +538,15 @@ func TestReadRepairReinstallsRestartedReplica(t *testing.T) {
 	// Restart the server on the same address (cold: it lost its copy) and
 	// run the repair probe ReadOne schedules after a fallback. Whether this
 	// call or the background attempt wins, the replica must be back.
-	var restarted *Server
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		restarted, err = NewServer(addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rebind server %s: %v", addr, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	defer restarted.Close()
+	restartServer(t, addr)
 	b.readdReplica(hot, 2, v)
 	if got := b.ReplicaCount(hot); got != 2 {
 		t.Fatalf("replicas after repair = %d, want 2", got)
 	}
 	// The repaired copy is really on the restarted server, current and
 	// complete.
-	conn := newServerConn(addr, b.cfg.ViewCap)
-	defer conn.close()
+	conn := newClient(addr, serverPoolSize, telemetry.Default())
+	defer conn.Close()
 	rv, ok, err := conn.getView(hot, telemetry.TraceContext{})
 	if err != nil || !ok {
 		t.Fatalf("restarted server has no copy: ok=%v err=%v", ok, err)

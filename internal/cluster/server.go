@@ -41,11 +41,7 @@ type serverShard struct {
 type Server struct {
 	shards [serverShardCount]serverShard
 
-	ln     net.Listener
-	conns  sync.WaitGroup
-	connMu sync.Mutex
-	active map[net.Conn]struct{}
-	closed atomic.Bool
+	srv *listener
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -82,7 +78,7 @@ func NewServer(addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen: %w", err)
 	}
-	s := &Server{ln: ln, active: make(map[net.Conn]struct{})}
+	s := &Server{}
 	s.tel = telemetry.Default()
 	s.getHist = s.tel.Histogram("dynasore_server_op_seconds", "Cache-server op latency.", "op", "get")
 	s.putHist = s.tel.Histogram("dynasore_server_op_seconds", "Cache-server op latency.", "op", "put")
@@ -90,8 +86,7 @@ func NewServer(addr string) (*Server, error) {
 	for i := range s.shards {
 		s.shards[i].views = make(map[uint32]cachedView)
 	}
-	s.conns.Add(1)
-	go s.acceptLoop()
+	s.srv = serve(ln, s.handle)
 	return s, nil
 }
 
@@ -138,31 +133,7 @@ func (s *Server) drop(user uint32) {
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-func (s *Server) acceptLoop() {
-	defer s.conns.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.connMu.Lock()
-		s.active[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.conns.Add(1)
-		go func() {
-			defer s.conns.Done()
-			defer func() {
-				s.connMu.Lock()
-				delete(s.active, conn)
-				s.connMu.Unlock()
-				conn.Close()
-			}()
-			serveFrames(conn, s.handle)
-		}()
-	}
-}
+func (s *Server) Addr() string { return s.srv.ln.Addr().String() }
 
 func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (uint8, []byte) {
 	switch msgType {
@@ -270,19 +241,7 @@ func (s *Server) NumViews() int {
 
 // Close stops the listener, drops every open connection, and waits for the
 // connection handlers to exit.
-func (s *Server) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	err := s.ln.Close()
-	s.connMu.Lock()
-	for conn := range s.active {
-		conn.Close()
-	}
-	s.connMu.Unlock()
-	s.conns.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.srv.close() }
 
 // Epoch returns the highest membership epoch the server has learned from
 // brokers (0 until the first put or epoch push reaches it).
@@ -312,210 +271,4 @@ type ServerStats struct {
 	// each refusal sent the client back to the broker.
 	DirectReads int64
 	DirectStale int64
-}
-
-// serverPoolSize is how many connections a broker keeps per cache server,
-// so concurrent requests fan out to the backend in parallel.
-const serverPoolSize = 4
-
-// serverConn is a pooled set of request/response connections to one cache
-// server or peer broker: up to serverPoolSize requests proceed in
-// parallel, each holding one connection for its round trip. A non-zero
-// timeout bounds dialing, the hello and every round trip — peer-broker
-// connections use one so a hung peer can never stall the liveness/election
-// loop that exists to detect it.
-type serverConn struct {
-	addr    string
-	timeout time.Duration
-	sem     chan struct{}
-	// viewCap is the event cap every put asks the server to merge the
-	// view down to: the owning broker's ViewCap (0 on peer connections,
-	// which never put views).
-	viewCap int
-
-	mu     sync.Mutex
-	idle   []net.Conn
-	closed bool
-}
-
-func newServerConn(addr string, viewCap int) *serverConn {
-	return &serverConn{addr: addr, viewCap: viewCap, sem: make(chan struct{}, serverPoolSize)}
-}
-
-func newServerConnTimeout(addr string, timeout time.Duration) *serverConn {
-	return &serverConn{addr: addr, timeout: timeout, sem: make(chan struct{}, serverPoolSize)}
-}
-
-// get pops an idle connection or dials a fresh one.
-func (c *serverConn) get() (net.Conn, error) {
-	c.mu.Lock()
-	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return conn, nil
-	}
-	c.mu.Unlock()
-	return c.dial()
-}
-
-// dial opens a fresh connection and performs the hello on it.
-func (c *serverConn) dial() (net.Conn, error) {
-	var conn net.Conn
-	var err error
-	if c.timeout > 0 {
-		conn, err = net.DialTimeout("tcp", c.addr, c.timeout)
-	} else {
-		conn, err = net.Dial("tcp", c.addr)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dial %s: %w", c.addr, err)
-	}
-	if c.timeout > 0 {
-		conn.SetDeadline(time.Now().Add(c.timeout))
-	}
-	if err := clientHello(conn); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: hello %s: %w", c.addr, err)
-	}
-	return conn, nil
-}
-
-// drainIdle closes every pooled connection: one broken connection to a
-// server usually means the rest (dialed around the same time) are stale
-// too, e.g. after the server restarted.
-func (c *serverConn) drainIdle() {
-	c.mu.Lock()
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
-	}
-}
-
-// put returns a healthy connection to the pool.
-func (c *serverConn) put(conn net.Conn) {
-	c.mu.Lock()
-	if c.closed || len(c.idle) >= serverPoolSize {
-		c.mu.Unlock()
-		conn.Close()
-		return
-	}
-	c.idle = append(c.idle, conn)
-	c.mu.Unlock()
-}
-
-// roundTrip sends one untraced request and reads its response.
-func (c *serverConn) roundTrip(msgType uint8, body []byte) (uint8, []byte, error) {
-	return c.roundTripTraced(msgType, body, telemetry.TraceContext{})
-}
-
-// roundTripTraced sends one request carrying tc and reads one response,
-// retrying once on a broken connection. A pooled connection may have gone
-// stale, so a failure drains the pool and the retry always dials fresh — a
-// reachable server is never reported unreachable just because the pool was
-// full of dead connections. A connection carries one request at a time, so
-// every request uses ID 1.
-func (c *serverConn) roundTripTraced(msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
-	c.sem <- struct{}{}
-	defer func() { <-c.sem }()
-	for attempt := 0; attempt < 2; attempt++ {
-		var conn net.Conn
-		var err error
-		if attempt == 0 {
-			conn, err = c.get()
-		} else {
-			conn, err = c.dial()
-		}
-		if err != nil {
-			return 0, nil, err
-		}
-		if c.timeout > 0 {
-			conn.SetDeadline(time.Now().Add(c.timeout))
-		}
-		if err := writeFrame(conn, frame{msgType: msgType, id: 1, tc: tc, body: body}); err != nil {
-			conn.Close()
-			c.drainIdle()
-			continue
-		}
-		resp, err := readFrame(conn)
-		if err != nil {
-			conn.Close()
-			c.drainIdle()
-			continue
-		}
-		if c.timeout > 0 {
-			conn.SetDeadline(time.Time{})
-		}
-		c.put(conn)
-		return resp.msgType, resp.body, nil
-	}
-	return 0, nil, fmt.Errorf("cluster: %s unreachable after retry", c.addr)
-}
-
-func (c *serverConn) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	for _, conn := range c.idle {
-		conn.Close()
-	}
-	c.idle = nil
-}
-
-// getView fetches a view from the server; ok is false on a cache miss. A
-// sampled tc makes the cache server's span join the trace.
-func (c *serverConn) getView(user uint32, tc telemetry.TraceContext) (View, bool, error) {
-	respType, respBody, err := c.roundTripTraced(opGetView, binary.LittleEndian.AppendUint32(nil, user), tc)
-	if err != nil {
-		return View{}, false, err
-	}
-	switch respType {
-	case respView:
-		v, _, err := decodeView(respBody)
-		return v, true, err
-	case respMiss:
-		return View{}, false, nil
-	case respError:
-		return View{}, false, asRemoteError(respBody)
-	default:
-		return View{}, false, ErrBadFrame
-	}
-}
-
-// putView merges a view into the server's copy, stamped with the
-// direct-read fencing tokens — the broker's membership epoch and the
-// user's placement version — and capped at c.viewCap events. A sampled tc
-// makes the server's span join the trace.
-func (c *serverConn) putView(user uint32, v View, epoch, placement uint64, tc telemetry.TraceContext) error {
-	body := binary.LittleEndian.AppendUint32(nil, user)
-	body = encodeView(body, v)
-	body = appendPutMeta(body, epoch, placement, c.viewCap)
-	return expectOK(c.roundTripTraced(opPutView, body, tc))
-}
-
-// pushEpoch teaches the server the broker's current membership epoch, so
-// direct reads fence correctly on servers that receive no puts.
-func (c *serverConn) pushEpoch(epoch uint64) error {
-	return expectOK(c.roundTrip(opEpochPush, binary.LittleEndian.AppendUint64(nil, epoch)))
-}
-
-// deleteView removes a replica from the server.
-func (c *serverConn) deleteView(user uint32) error {
-	return expectOK(c.roundTrip(opDeleteView, binary.LittleEndian.AppendUint32(nil, user)))
-}
-
-// expectOK maps a round trip's outcome to nil for respOK and to an error
-// otherwise.
-func expectOK(respType uint8, respBody []byte, err error) error {
-	switch {
-	case err != nil:
-		return err
-	case respType == respError:
-		return asRemoteError(respBody)
-	case respType != respOK:
-		return ErrBadFrame
-	}
-	return nil
 }
