@@ -443,19 +443,17 @@ func BenchmarkBrokerProxiedRead(b *testing.B) {
 	})
 }
 
-// BenchmarkDirectRead is the same workload with the direct-read fast
-// path: after leases warm up, reads go client → cache server in one
-// emulated hop, cutting the broker out of the hot read path.
-func BenchmarkDirectRead(b *testing.B) {
-	addr := benchProxiedCluster(b)
+// dialWarmDirect dials addr with direct reads and sweeps the 100 seeded
+// users until one whole pass is served directly, so the benchmark that
+// follows measures warm leases.
+func dialWarmDirect(b *testing.B, addr string) *dynasore.ClusterClient {
+	b.Helper()
 	ctx := context.Background()
 	c, err := dynasore.DialCluster(ctx, []string{addr}, dynasore.WithDirectReads(0))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { c.Close() })
-	// Warm the lease cache: keep sweeping until a whole pass over the
-	// working set is served directly.
 	targets := make([]uint32, 100)
 	for i := range targets {
 		targets[i] = uint32(i)
@@ -474,19 +472,30 @@ func BenchmarkDirectRead(b *testing.B) {
 			b.Fatal(err)
 		}
 		if after.DirectReads-before.DirectReads == int64(len(targets)) {
-			break
+			return c
 		}
 		if time.Now().After(deadline) {
 			b.Fatalf("leases never warmed: %+v", after)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// benchDirect drives benchConcurrentReads through a warm direct-read
+// client, reading targets(user) per op, and reports the share of views
+// served directly.
+func benchDirect(b *testing.B, targets func(user uint32) []uint32) {
+	c := dialWarmDirect(b, benchProxiedCluster(b))
+	ctx := context.Background()
 	start, err := c.Stats(ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var views atomic.Int64
 	benchConcurrentReads(b, func(user uint32) error {
-		_, err := c.Read(ctx, []uint32{user})
+		t := targets(user)
+		views.Add(int64(len(t)))
+		_, err := c.Read(ctx, t)
 		return err
 	})
 	b.StopTimer()
@@ -494,7 +503,32 @@ func BenchmarkDirectRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if total := end.DirectReads - start.DirectReads; total > 0 && b.N > 0 {
-		b.ReportMetric(100*float64(total)/float64(b.N), "direct-hit-%")
+	if total := end.DirectReads - start.DirectReads; total > 0 && views.Load() > 0 {
+		b.ReportMetric(100*float64(total)/float64(views.Load()), "direct-hit-%")
 	}
+}
+
+// BenchmarkDirectRead is the same workload with the direct-read fast
+// path: after leases warm up, reads go client → cache server in one
+// emulated hop, cutting the broker out of the hot read path.
+func BenchmarkDirectRead(b *testing.B) {
+	benchDirect(b, func(user uint32) []uint32 { return []uint32{user} })
+}
+
+// feedTargets is the followee count of BenchmarkDirectFeedRead's feed
+// reads — about the Facebook-shaped feeds of the edge-mix workload.
+const feedTargets = 32
+
+// BenchmarkDirectFeedRead reads a feed — feedTargets users spread over
+// all three cache servers — per op through the direct-read fast path on
+// the latency-proxied topology: a feed read costs one emulated round trip
+// per cache server it touches, not one per followee.
+func BenchmarkDirectFeedRead(b *testing.B) {
+	benchDirect(b, func(user uint32) []uint32 {
+		t := make([]uint32, feedTargets)
+		for i := range t {
+			t[i] = (user + uint32(3*i)) % 100
+		}
+		return t
+	})
 }

@@ -1938,16 +1938,21 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		b.statsHist.Observe(time.Since(start))
 		return respStats, resp
 	case opLeaseGet:
-		if len(body) < 4 {
-			return respError, errorBody("short lease request")
+		users, err := decodeReadRequest(body)
+		if err != nil {
+			return respError, errorBody("bad lease request")
 		}
 		start := time.Now()
-		l, err := b.leaseFor(binary.LittleEndian.Uint32(body[0:4]))
-		b.leaseHist.Observe(time.Since(start))
-		if err != nil {
-			return respError, errorBodyFor(err)
+		grants := make([]Lease, 0, len(users))
+		for _, u := range users {
+			// A user that cannot be leased now (reserved, or no reachable
+			// replica) gets no grant; its reads stay on the broker path.
+			if l, err := b.leaseFor(u); err == nil {
+				grants = append(grants, l)
+			}
 		}
-		return respLease, appendLeaseGrant(nil, l)
+		b.leaseHist.Observe(time.Since(start))
+		return respLease, encodeLeaseGrants(grants)
 	case opPlacementPull:
 		return respPlacement, encodePlacementTable(b.placementEntries())
 	case opPlacementBatch:

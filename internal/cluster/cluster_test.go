@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -564,5 +565,65 @@ func TestProtocolViewRoundTrip(t *testing.T) {
 	}
 	if _, _, err := decodeView([]byte{1, 2}); err == nil {
 		t.Error("short view accepted")
+	}
+}
+
+// TestHungCacheServerBoundsWriteAndClose: a cache server that accepts
+// connections but never answers fails a write to a user it holds within
+// the broker's server-call bound, and cannot keep Broker.Close waiting.
+func TestHungCacheServerBoundsWriteAndClose(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range held {
+			conn.Close()
+		}
+	})
+
+	b, _, c := testCluster(t, 1, func(cfg *BrokerConfig) {
+		cfg.ServerAddrs = append(cfg.ServerAddrs, ln.Addr().String())
+	})
+	user := userHomedOn(t, b, 1)
+	bound := serverCallTimeout + 3*time.Second
+	written := make(chan error, 1)
+	go func() {
+		_, err := c.Write(user, []byte("into the void"))
+		written <- err
+	}()
+	select {
+	case err := <-written:
+		if err == nil {
+			t.Error("write to a user homed on a hung server succeeded")
+		}
+	case <-time.After(bound):
+		t.Fatalf("write still blocked after %v", bound)
+	}
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(bound):
+		t.Fatalf("Broker.Close still waiting after %v", bound)
 	}
 }

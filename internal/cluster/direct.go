@@ -3,6 +3,7 @@ package cluster
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,10 +15,10 @@ import (
 // cache of broker-granted leases (LRU + TTL) and a pool of multiplexed
 // connections to the cache servers the leases name. A hit reads the view
 // in one hop, client → cache server, instead of two through the broker;
-// anything the fast path cannot prove fresh — no lease, expired lease,
-// superseded epoch, fenced placement version, dead server — reports a
-// miss, and the caller falls back to the broker path, which is always
-// correct. All methods are safe for concurrent use.
+// any view the fast path cannot prove fresh — no lease, expired lease,
+// superseded epoch, fenced placement version, dead server — ReadMany
+// reads through the broker path it is given, which is always correct.
+// All methods are safe for concurrent use.
 type DirectReader struct {
 	max int
 
@@ -34,7 +35,7 @@ type DirectReader struct {
 	closed    bool
 
 	// epoch is the highest membership epoch observed anywhere (lease
-	// grants, epoch trailers, stale-route answers). A cached lease minted
+	// grants, broker responses, direct-read epoch trailers). A cached lease minted
 	// under a lower epoch is invalid the moment a higher one is seen.
 	epoch atomic.Uint64
 
@@ -50,10 +51,13 @@ type DirectReader struct {
 	ctrFallbck *telemetry.Counter
 }
 
-// leaseEntry is one cached lease plus its client-side fencing state.
+// leaseEntry is one user's client-side state: its cached lease, if any,
+// and its version fence. The entry outlives the lease — a dropped,
+// expired or superseded lease leaves the fence in place — so only LRU
+// eviction forgets a version this client returned.
 type leaseEntry struct {
 	lease   Lease
-	expires time.Time
+	expires time.Time // zero when no lease is held
 	// minVersion is the highest view version observed for this user from
 	// any path. A direct read below it is a stale replica racing a
 	// migration or write — it fences client-side even when both wire
@@ -105,7 +109,7 @@ func (d *DirectReader) NoteEpoch(e uint64) {
 }
 
 // Install caches a freshly granted lease. The user's client-side version
-// fence survives re-leasing; only eviction or invalidation clears it.
+// fence survives re-leasing; only eviction clears it.
 func (d *DirectReader) Install(l Lease) {
 	d.NoteEpoch(l.Epoch)
 	if l.TTL <= 0 || len(l.Replicas) == 0 || l.Epoch < d.epoch.Load() {
@@ -117,123 +121,290 @@ func (d *DirectReader) Install(l Lease) {
 	if d.closed {
 		return
 	}
-	e, ok := d.leases[l.User]
-	if !ok {
-		e = &leaseEntry{}
-		e.elem = d.lru.PushFront(l.User)
-		d.leases[l.User] = e
-		for len(d.leases) > d.max {
-			back := d.lru.Back()
-			evict := back.Value.(uint32)
-			d.lru.Remove(back)
-			delete(d.leases, evict)
-		}
-	} else {
-		d.lru.MoveToFront(e.elem)
-	}
+	e := d.entryLocked(l.User)
 	e.lease = l
 	e.expires = expires
 }
 
-// Observe ratchets user's client-side version fence up to version — fed
-// from broker-path reads too, so a later direct read can never hand back
-// a view older than one this client already returned.
-func (d *DirectReader) Observe(user uint32, version uint64) {
-	d.mu.Lock()
-	if e, ok := d.leases[user]; ok && version > e.minVersion {
-		e.minVersion = version
-	}
-	d.mu.Unlock()
-}
-
-// Invalidate drops user's cached lease (fenced, expired, or refused).
-func (d *DirectReader) Invalidate(user uint32) {
-	d.mu.Lock()
+// entryLocked returns user's entry, most recently used, creating it (and
+// evicting the least recently used past the bound) when there is none.
+// d.mu must be held.
+func (d *DirectReader) entryLocked(user uint32) *leaseEntry {
 	if e, ok := d.leases[user]; ok {
-		d.lru.Remove(e.elem)
-		delete(d.leases, user)
+		d.lru.MoveToFront(e.elem)
+		return e
 	}
-	d.mu.Unlock()
+	e := &leaseEntry{elem: d.lru.PushFront(user)}
+	d.leases[user] = e
+	for len(d.leases) > d.max {
+		back := d.lru.Back()
+		d.lru.Remove(back)
+		delete(d.leases, back.Value.(uint32))
+	}
+	return e
 }
 
-// HasLease reports whether a currently valid lease for user is cached —
-// when false after a fallback, the caller should re-lease in the
-// background.
-func (d *DirectReader) HasLease(user uint32) bool {
-	e := d.epoch.Load()
+// valid reports whether the entry holds a lease minted under epoch and
+// unexpired at now.
+func (e *leaseEntry) valid(epoch uint64, now time.Time) bool {
+	return e.lease.Epoch == epoch && now.Before(e.expires)
+}
+
+// drop forgets the entry's lease and keeps its version fence.
+func (e *leaseEntry) drop() {
+	e.lease = Lease{}
+	e.expires = time.Time{}
+}
+
+// BrokerRead reads users' views, in order, through the always-correct
+// broker path.
+type BrokerRead func(ctx context.Context, users []uint32) ([]View, error)
+
+// directTarget is one leased target of a ReadMany: its position in the
+// target list, the lease it is read under, and its client-side version
+// fence at the time of the read.
+type directTarget struct {
+	idx        int
+	user       uint32
+	lease      Lease
+	minVersion uint64
+}
+
+// directBatch is one frame's worth of a ReadMany round: the targets sent
+// to one cache server and its answers.
+type directBatch struct {
+	addr    string
+	targets []directTarget
+	answers []directAnswer // nil when the server was unreachable or failed
+}
+
+// ReadMany reads the views of targets, in order — the paper's Read(u, L)
+// on the fast path. Users with a valid lease are read straight from their
+// cache servers in rounds: round k sends every still-unanswered leased
+// user to its lease's k-th replica, one frame per server, all servers in
+// parallel. Users with no valid lease go to broker at once, concurrently
+// with round 0, and users the rounds could not serve — fenced, refused,
+// or out of replicas — go to it after the last round. Every fence keeps
+// per-user semantics: the epoch and placement tokens on the server, the
+// client-side version fence here, and a stale route invalidates the
+// user's lease.
+//
+// unleased lists the users broker served that now hold no valid lease;
+// the caller should lease them in the background so their next read can
+// go direct.
+func (d *DirectReader) ReadMany(ctx context.Context, targets []uint32, broker BrokerRead) (views []View, unleased []uint32, err error) {
+	views = make([]View, len(targets))
+	leased, cold := d.classify(targets)
+	var coldErr error
+	var wg sync.WaitGroup
+	if len(cold) > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			coldErr = readVia(ctx, broker, targets, cold, views)
+		}()
+	}
+	missed := d.rounds(ctx, leased, views)
+	var missErr error
+	if len(missed) > 0 {
+		missErr = readVia(ctx, broker, targets, missed, views)
+	}
+	wg.Wait()
+	for _, err := range []error{coldErr, missErr} {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(cold)+len(missed) == 0 {
+		return views, nil, nil
+	}
+	// Feed the broker-served versions into the client-side fence — the
+	// lease these users get next may name a replica behind them — and
+	// report the users left without a valid lease.
+	epoch := d.epoch.Load()
+	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	le, ok := d.leases[user]
-	return ok && le.lease.Epoch == e && time.Now().Before(le.expires)
+	if d.closed {
+		return views, nil, nil
+	}
+	for _, served := range [][]int{cold, missed} {
+		for _, i := range served {
+			u := targets[i]
+			e := d.entryLocked(u)
+			e.minVersion = max(e.minVersion, views[i].Version)
+			if !e.valid(epoch, now) {
+				unleased = append(unleased, u)
+			}
+		}
+	}
+	return views, unleased, nil
 }
 
-// TryRead attempts one direct read of user's view. ok is false whenever
-// the fast path cannot serve provably fresh data — the caller must then
-// read through the broker. Every replica of the lease is tried in order;
-// a fencing answer (stale route, or a view older than one already
-// observed) invalidates the lease so the next read re-leases.
-func (d *DirectReader) TryRead(ctx context.Context, user uint32) (View, bool) {
-	epoch := d.epoch.Load()
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return View{}, false
+// readVia reads the targets at positions idx through broker into views.
+func readVia(ctx context.Context, broker BrokerRead, targets []uint32, idx []int, views []View) error {
+	users := make([]uint32, len(idx))
+	for j, i := range idx {
+		users[j] = targets[i]
 	}
-	e, ok := d.leases[user]
-	if !ok {
-		d.mu.Unlock()
-		d.ctrNoLease.Inc()
-		return View{}, false
+	got, err := broker(ctx, users)
+	if err != nil {
+		return err
 	}
-	if e.lease.Epoch != epoch || !time.Now().Before(e.expires) {
-		d.lru.Remove(e.elem)
-		delete(d.leases, user)
-		d.mu.Unlock()
-		d.stale.Add(1)
-		d.ctrExpired.Inc()
-		return View{}, false
+	if len(got) != len(users) {
+		return fmt.Errorf("%w: broker returned %d views for %d users", ErrBadFrame, len(got), len(users))
 	}
-	d.lru.MoveToFront(e.elem)
-	lease := e.lease
-	minVersion := e.minVersion
-	d.mu.Unlock()
+	for j, i := range idx {
+		views[i] = got[j]
+	}
+	return nil
+}
 
-	fenced := false
-	for _, r := range lease.Replicas {
-		c := d.conn(ctx, r.Addr)
-		if c == nil {
+// classify splits targets into the leased ones, with a snapshot of their
+// leases and fences, and the positions of those with no valid lease
+// (expired or superseded leases are dropped here).
+func (d *DirectReader) classify(targets []uint32) (leased []directTarget, cold []int) {
+	epoch := d.epoch.Load()
+	now := time.Now()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		cold = make([]int, len(targets))
+		for i := range cold {
+			cold[i] = i
+		}
+		return nil, cold
+	}
+	leased = make([]directTarget, 0, len(targets))
+	for i, u := range targets {
+		e, ok := d.leases[u]
+		if !ok || e.expires.IsZero() {
+			d.ctrNoLease.Inc()
+			cold = append(cold, i)
 			continue
 		}
-		v, status, err := c.directGet(ctx, user, lease.Epoch, lease.Placement)
-		d.NoteEpoch(c.Epoch())
-		if err != nil {
-			continue // dead or misbehaving server: try the next replica
+		if !e.valid(epoch, now) {
+			e.drop()
+			d.stale.Add(1)
+			d.ctrExpired.Inc()
+			cold = append(cold, i)
+			continue
 		}
-		switch status {
-		case respView:
-			if v.Version < minVersion {
-				// A replica behind a version this client already saw —
-				// the wire tokens raced a move; fence client-side.
-				fenced = true
-				d.ctrFence.Inc()
-				break
+		d.lru.MoveToFront(e.elem)
+		leased = append(leased, directTarget{idx: i, user: u, lease: e.lease, minVersion: e.minVersion})
+	}
+	return leased, cold
+}
+
+// rounds serves the leased targets from their replicas into views and
+// returns the positions it could not serve.
+func (d *DirectReader) rounds(ctx context.Context, pending []directTarget, views []View) (missed []int) {
+	for k := 0; len(pending) > 0; k++ {
+		var batches []directBatch
+		var exhausted []directTarget
+		for _, t := range pending {
+			if k >= len(t.lease.Replicas) {
+				exhausted = append(exhausted, t)
+				continue
 			}
-			d.Observe(user, v.Version)
-			d.reads.Add(1)
-			d.ctrHit.Inc()
-			return v, true
-		case respNotHere:
-			continue // the replica moved on; another may still hold it
+			addr := t.lease.Replicas[k].Addr
+			b := -1
+			for i := range batches {
+				if batches[i].addr == addr && len(batches[i].targets) < MaxBatch {
+					b = i
+					break
+				}
+			}
+			if b < 0 {
+				b = len(batches)
+				batches = append(batches, directBatch{addr: addr})
+			}
+			batches[b].targets = append(batches[b].targets, t)
 		}
-		// Stale route (or a version regression): this lease is dead.
-		break
+		var wg sync.WaitGroup
+		for i := range batches {
+			wg.Add(1)
+			go func(b *directBatch) {
+				defer wg.Done()
+				d.send(ctx, b)
+			}(&batches[i])
+		}
+		wg.Wait()
+
+		var next []directTarget
+		d.mu.Lock()
+		for _, t := range exhausted {
+			// Every replica was dead or no longer held the view.
+			d.dropLocked(t.user)
+			d.ctrFallbck.Inc()
+			missed = append(missed, t.idx)
+		}
+		for _, b := range batches {
+			if b.answers == nil {
+				// Dead or misbehaving server: try the next replica.
+				next = append(next, b.targets...)
+				continue
+			}
+			for j, t := range b.targets {
+				switch a := b.answers[j]; a.status {
+				case respView:
+					if a.view.Version < t.minVersion {
+						// A replica behind a version this client already
+						// saw — the wire tokens raced a move; fence
+						// client-side.
+						d.dropLocked(t.user)
+						d.ctrFence.Inc()
+						missed = append(missed, t.idx)
+						continue
+					}
+					if e, ok := d.leases[t.user]; ok {
+						e.minVersion = max(e.minVersion, a.view.Version)
+					}
+					views[t.idx] = a.view
+					d.reads.Add(1)
+					d.ctrHit.Inc()
+				case respNotHere:
+					next = append(next, t) // the replica moved on; another may still hold it
+				default:
+					// Stale route: this lease is dead.
+					d.dropLocked(t.user)
+					d.ctrFallbck.Inc()
+					missed = append(missed, t.idx)
+				}
+			}
+		}
+		d.mu.Unlock()
+		pending = next
 	}
-	d.Invalidate(user)
+	return missed
+}
+
+// send performs one batch's direct read, leaving b.answers nil when the
+// server cannot be reached or fails the request.
+func (d *DirectReader) send(ctx context.Context, b *directBatch) {
+	c := d.conn(ctx, b.addr)
+	if c == nil {
+		return
+	}
+	reqs := make([]directGetReq, len(b.targets))
+	for i, t := range b.targets {
+		reqs[i] = directGetReq{user: t.user, epoch: t.lease.Epoch, placement: t.lease.Placement}
+	}
+	answers, err := c.directGet(ctx, reqs)
+	d.NoteEpoch(c.Epoch())
+	if err == nil {
+		b.answers = answers
+	}
+}
+
+// dropLocked invalidates user's lease after a direct read it could not
+// serve, keeping its version fence, and counts the fallback. d.mu must be
+// held.
+func (d *DirectReader) dropLocked(user uint32) {
+	if e, ok := d.leases[user]; ok {
+		e.drop()
+	}
 	d.stale.Add(1)
-	if !fenced {
-		d.ctrFallbck.Inc()
-	}
-	return View{}, false
 }
 
 // conn returns (dialing if needed) the multiplexed connection to a cache

@@ -289,10 +289,23 @@ func (c *Client) roundTrip(ctx context.Context, msgType uint8, body []byte, tc t
 	return respType, respBody, err
 }
 
+// serverCallTimeout bounds every broker → cache-server call (dial and
+// retry included), so a server that accepts connections but never answers
+// fails the write or read it stalls — and lets Broker.Close return —
+// instead of blocking it forever.
+const serverCallTimeout = 5 * time.Second
+
+// serverCall is roundTrip under serverCallTimeout.
+func (c *Client) serverCall(msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), serverCallTimeout)
+	defer cancel()
+	return c.roundTrip(ctx, msgType, body, tc)
+}
+
 // getView fetches a view from a cache server; ok is false on a cache
 // miss. A sampled tc makes the cache server's span join the trace.
 func (c *Client) getView(user uint32, tc telemetry.TraceContext) (View, bool, error) {
-	respType, respBody, err := c.roundTrip(context.Background(), opGetView, binary.LittleEndian.AppendUint32(nil, user), tc)
+	respType, respBody, err := c.serverCall(opGetView, binary.LittleEndian.AppendUint32(nil, user), tc)
 	if err != nil {
 		return View{}, false, err
 	}
@@ -317,18 +330,18 @@ func (c *Client) putView(user uint32, v View, epoch, placement uint64, limit int
 	body := binary.LittleEndian.AppendUint32(nil, user)
 	body = encodeView(body, v)
 	body = appendPutMeta(body, epoch, placement, limit)
-	return expectOK(c.roundTrip(context.Background(), opPutView, body, tc))
+	return expectOK(c.serverCall(opPutView, body, tc))
 }
 
 // pushEpoch teaches a cache server the broker's current membership epoch,
 // so direct reads fence correctly on servers that receive no puts.
 func (c *Client) pushEpoch(epoch uint64) error {
-	return expectOK(c.roundTrip(context.Background(), opEpochPush, binary.LittleEndian.AppendUint64(nil, epoch), telemetry.TraceContext{}))
+	return expectOK(c.serverCall(opEpochPush, binary.LittleEndian.AppendUint64(nil, epoch), telemetry.TraceContext{}))
 }
 
 // deleteView removes a replica from a cache server.
 func (c *Client) deleteView(user uint32) error {
-	return expectOK(c.roundTrip(context.Background(), opDeleteView, binary.LittleEndian.AppendUint32(nil, user), telemetry.TraceContext{}))
+	return expectOK(c.serverCall(opDeleteView, binary.LittleEndian.AppendUint32(nil, user), telemetry.TraceContext{}))
 }
 
 // expectOK maps a round trip's outcome to nil for respOK and to an error
@@ -424,61 +437,65 @@ func (c *Client) Write(ctx context.Context, user uint32, payload []byte) (uint64
 	}
 }
 
-// Lease asks the broker for a direct-read lease on user: the replica
-// addresses plus the fencing tokens a DirectReader presents to cache
-// servers.
-func (c *Client) Lease(ctx context.Context, user uint32) (Lease, error) {
-	body := binary.LittleEndian.AppendUint32(nil, user)
-	respType, respBody, err := c.do(ctx, opLeaseGet, body)
-	if err != nil {
-		return Lease{}, err
-	}
-	switch respType {
-	case respLease:
-		l, err := decodeLeaseGrant(respBody)
-		if err == nil {
-			c.noteEpoch(l.Epoch)
+// Leases asks the broker for direct-read leases on users: each grant
+// names its user's replica addresses plus the fencing tokens a
+// DirectReader presents to cache servers. A user the broker cannot lease
+// has no grant. Lists longer than MaxBatch go out as several requests.
+func (c *Client) Leases(ctx context.Context, users []uint32) ([]Lease, error) {
+	var out []Lease
+	for len(users) > 0 {
+		n := min(len(users), MaxBatch)
+		body, err := encodeReadRequest(users[:n])
+		if err != nil {
+			return nil, err
 		}
-		return l, err
-	case respError:
-		return Lease{}, asRemoteError(respBody)
-	default:
-		return Lease{}, ErrBadFrame
+		respType, respBody, err := c.do(ctx, opLeaseGet, body)
+		if err != nil {
+			return nil, err
+		}
+		switch respType {
+		case respLease:
+			ls, err := decodeLeaseGrants(respBody)
+			if err != nil {
+				return nil, err
+			}
+			for _, l := range ls {
+				c.noteEpoch(l.Epoch)
+			}
+			out = append(out, ls...)
+		case respError:
+			return nil, asRemoteError(respBody)
+		default:
+			return nil, ErrBadFrame
+		}
+		users = users[n:]
 	}
+	return out, nil
 }
 
-// directGet performs one fenced direct read against a cache server. The
-// returned status is the raw response type: respView (view is valid),
-// respStaleRoute (the lease is fenced — re-lease and fall back), or
-// respNotHere (this replica no longer holds the view — try another).
-func (c *Client) directGet(ctx context.Context, user uint32, epoch, placement uint64) (View, uint8, error) {
-	respType, respBody, err := c.do(ctx, opDirectGet, encodeDirectGet(user, epoch, placement))
+// directGet performs one batched, fenced direct read against a cache
+// server: one answer per request, in order (see directAnswer). Callers
+// keep the batch within MaxBatch.
+func (c *Client) directGet(ctx context.Context, reqs []directGetReq) ([]directAnswer, error) {
+	respType, respBody, err := c.do(ctx, opDirectGet, encodeDirectGet(reqs))
 	if err != nil {
-		return View{}, 0, err
+		return nil, err
 	}
 	switch respType {
-	case respView:
-		v, rest, err := decodeView(respBody)
+	case respDirect:
+		answers, epoch, err := decodeDirectAnswers(respBody)
 		if err != nil {
-			return View{}, 0, err
-		}
-		epoch, err := decodeEpochTrailer(rest)
-		if err != nil {
-			return View{}, 0, err
+			return nil, err
 		}
 		c.noteEpoch(epoch)
-		return v, respView, nil
-	case respStaleRoute:
-		if e, _, err := decodeStaleRoute(respBody); err == nil {
-			c.noteEpoch(e)
+		if len(answers) != len(reqs) {
+			return nil, fmt.Errorf("%w: %d direct answers for %d users", ErrBadFrame, len(answers), len(reqs))
 		}
-		return View{}, respStaleRoute, nil
-	case respNotHere:
-		return View{}, respNotHere, nil
+		return answers, nil
 	case respError:
-		return View{}, 0, asRemoteError(respBody)
+		return nil, asRemoteError(respBody)
 	default:
-		return View{}, 0, ErrBadFrame
+		return nil, ErrBadFrame
 	}
 }
 

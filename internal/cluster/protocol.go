@@ -91,15 +91,18 @@ const (
 	// policy decision, or a rebalance or drain pass's whole outcome in
 	// O(1) round trips per peer.
 	opPlacementBatch
-	// Direct-read fast path: a client asks the broker to lease one user's
-	// replica set (opLeaseGet → respLease), then reads the view straight
-	// from a cache server (opDirectGet → respView). Two fencing tokens ride
-	// every direct read — the membership epoch and the user's placement
-	// version — and a server that cannot prove both current answers
-	// respStaleRoute (fall back to the broker and re-lease) or respNotHere
-	// (the replica moved away); it never silently serves a stale route.
-	// opEpochPush is the broker→server epoch notification that arms the
-	// fence on servers that receive no puts.
+	// Direct-read fast path: a client asks the broker to lease a list of
+	// users' replica sets in one request (opLeaseGet → respLease, one
+	// grant per leasable user), then reads the views of every leased user
+	// a cache server holds in one request (opDirectGet → respDirect). Two
+	// fencing tokens ride every user of a direct read — the membership
+	// epoch and the user's placement version — and the server answers
+	// each user on its own: respView with the view, respStaleRoute when
+	// it cannot prove both tokens current (fall back to the broker and
+	// re-lease), or respNotHere (the replica moved away; try the next
+	// one). It never silently serves a stale route. opEpochPush is the
+	// broker→server epoch notification that arms the fence on servers
+	// that receive no puts.
 	opLeaseGet
 	opDirectGet
 	opEpochPush
@@ -112,11 +115,15 @@ const (
 	// write reaches its origin broker's store before the ack, so the max
 	// over live peers' answers is a floor no cache fill may go below.
 	opViewPull
+
+	// respDirect answers an opDirectGet: one status per requested user,
+	// in request order, then the server's epoch (encodeDirectAnswers).
+	respDirect
 )
 
 // protoVersion is the one protocol version a hello may name; any other
 // is refused with ErrBadVersion.
-const protoVersion = 6
+const protoVersion = 7
 
 // traceFlag in a frame's type byte means a 17-byte trace context (see
 // internal/telemetry) follows the request ID. Op codes stay below it.
@@ -383,11 +390,7 @@ func encodeView(buf []byte, v View) []byte {
 	// Grow once per view (amortized): the hot read path encodes a view per
 	// response, and incremental appends would reallocate several times per
 	// call.
-	need := 10
-	for _, e := range v.Events {
-		need += 12 + len(e)
-	}
-	buf = slices.Grow(buf, need)
+	buf = slices.Grow(buf, viewLen(v))
 	buf = binary.LittleEndian.AppendUint64(buf, v.Version)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(v.Events)))
 	for i, e := range v.Events {
@@ -396,6 +399,15 @@ func encodeView(buf []byte, v View) []byte {
 		buf = append(buf, e...)
 	}
 	return buf
+}
+
+// viewLen is the encoded size of v.
+func viewLen(v View) int {
+	n := 10
+	for _, e := range v.Events {
+		n += 12 + len(e)
+	}
+	return n
 }
 
 // decodeView parses a view and returns the remaining bytes. Sequence
@@ -850,6 +862,53 @@ type Lease struct {
 	Replicas  []LeaseReplica
 }
 
+// MaxBatch is the most users a client names in one opRead, opLeaseGet or
+// opDirectGet; longer lists go out as several frames. A direct get's
+// count is a uint16, and 256 views keep an answer far below maxFrame.
+const MaxBatch = 256
+
+// encodeLeaseGrants builds a respLease body: uint32(n) | n × grant
+// (appendLeaseGrant). Each grant names its user; a requested user the
+// broker could not lease is left out. (An opLeaseGet body is a user list
+// in the opRead layout, encodeReadRequest.)
+func encodeLeaseGrants(ls []Lease) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(ls)))
+	for _, l := range ls {
+		buf = appendLeaseGrant(buf, l)
+	}
+	return buf
+}
+
+// decodeLeaseGrants parses a respLease body. The count is checked against
+// the bytes present before allocating, and nothing may follow the last
+// grant.
+func decodeLeaseGrants(b []byte) ([]Lease, error) {
+	if len(b) < 4 {
+		return nil, ErrBadFrame
+	}
+	n := int64(binary.LittleEndian.Uint32(b[0:4]))
+	b = b[4:]
+	if n > int64(len(b)/leaseGrantMinLen) {
+		return nil, ErrBadFrame
+	}
+	ls := make([]Lease, 0, n)
+	for i := int64(0); i < n; i++ {
+		l, rest, err := decodeLeaseGrant(b)
+		if err != nil {
+			return nil, err
+		}
+		ls = append(ls, l)
+		b = rest
+	}
+	if len(b) != 0 {
+		return nil, ErrBadFrame
+	}
+	return ls, nil
+}
+
+// leaseGrantMinLen is the wire size of a grant with no replicas.
+const leaseGrantMinLen = 26
+
 // appendLeaseGrant appends a lease's wire form to buf:
 // uint32(user) | uint64(epoch) | uint64(placement) | uint32(ttl ms) |
 // uint16(n) | n × { uint16 slot, uint16 addrLen, addr }.
@@ -867,11 +926,12 @@ func appendLeaseGrant(buf []byte, l Lease) []byte {
 	return buf
 }
 
-// decodeLeaseGrant parses a respLease body. The replica count is
-// validated against the bytes actually present before allocating.
-func decodeLeaseGrant(b []byte) (Lease, error) {
-	if len(b) < 26 {
-		return Lease{}, ErrBadFrame
+// decodeLeaseGrant parses one grant and returns the bytes after it. The
+// replica count is validated against the bytes actually present before
+// allocating.
+func decodeLeaseGrant(b []byte) (Lease, []byte, error) {
+	if len(b) < leaseGrantMinLen {
+		return Lease{}, nil, ErrBadFrame
 	}
 	l := Lease{
 		User:      binary.LittleEndian.Uint32(b[0:4]),
@@ -882,56 +942,171 @@ func decodeLeaseGrant(b []byte) (Lease, error) {
 	n := int64(binary.LittleEndian.Uint16(b[24:26]))
 	b = b[26:]
 	if n > int64(len(b))/4 {
-		return Lease{}, ErrBadFrame
+		return Lease{}, nil, ErrBadFrame
 	}
 	l.Replicas = make([]LeaseReplica, 0, n)
 	for i := int64(0); i < n; i++ {
 		if len(b) < 4 {
-			return Lease{}, ErrBadFrame
+			return Lease{}, nil, ErrBadFrame
 		}
 		slot := binary.LittleEndian.Uint16(b[0:2])
 		alen := int(binary.LittleEndian.Uint16(b[2:4]))
 		b = b[4:]
 		if len(b) < alen {
-			return Lease{}, ErrBadFrame
+			return Lease{}, nil, ErrBadFrame
 		}
 		l.Replicas = append(l.Replicas, LeaseReplica{Slot: slot, Addr: string(b[:alen])})
 		b = b[alen:]
 	}
-	return l, nil
+	return l, b, nil
 }
 
-// encodeDirectGet builds an opDirectGet body: the target user plus the
-// client's two fencing tokens —
-// uint32(user) | uint64(epoch) | uint64(placement).
-func encodeDirectGet(user uint32, epoch, placement uint64) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, user)
-	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	return binary.LittleEndian.AppendUint64(buf, placement)
+// directGetReq is one user of a batched direct read: the user and the
+// two fencing tokens of the client's lease on it.
+type directGetReq struct {
+	user             uint32
+	epoch, placement uint64
 }
 
-// decodeDirectGet parses an opDirectGet body.
-func decodeDirectGet(b []byte) (user uint32, epoch, placement uint64, err error) {
-	if len(b) < 20 {
-		return 0, 0, 0, ErrBadFrame
+// directGetReqLen is the wire size of one directGetReq.
+const directGetReqLen = 20
+
+// encodeDirectGet builds an opDirectGet body — uint16(n) | n ×
+// { uint32(user) | uint64(epoch) | uint64(placement) }. Callers keep n
+// within MaxBatch.
+func encodeDirectGet(reqs []directGetReq) []byte {
+	buf := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+directGetReqLen*len(reqs)), uint16(len(reqs)))
+	for _, r := range reqs {
+		buf = binary.LittleEndian.AppendUint32(buf, r.user)
+		buf = binary.LittleEndian.AppendUint64(buf, r.epoch)
+		buf = binary.LittleEndian.AppendUint64(buf, r.placement)
 	}
-	user = binary.LittleEndian.Uint32(b[0:4])
-	epoch = binary.LittleEndian.Uint64(b[4:12])
-	placement = binary.LittleEndian.Uint64(b[12:20])
-	return user, epoch, placement, nil
+	return buf
 }
 
-// appendStaleRoute builds a respStaleRoute body: the server's own view of
-// the two fencing tokens — uint64(epoch) | uint64(placement) — so the
+// decodeDirectGet parses an opDirectGet body. The body must hold exactly
+// the users its count names.
+func decodeDirectGet(b []byte) ([]directGetReq, error) {
+	if len(b) < 2 {
+		return nil, ErrBadFrame
+	}
+	n := int(binary.LittleEndian.Uint16(b[0:2]))
+	b = b[2:]
+	if len(b) != directGetReqLen*n {
+		return nil, ErrBadFrame
+	}
+	reqs := make([]directGetReq, n)
+	for i := range reqs {
+		r := b[directGetReqLen*i:]
+		reqs[i] = directGetReq{
+			user:      binary.LittleEndian.Uint32(r[0:4]),
+			epoch:     binary.LittleEndian.Uint64(r[4:12]),
+			placement: binary.LittleEndian.Uint64(r[12:20]),
+		}
+	}
+	return reqs, nil
+}
+
+// directAnswer is a cache server's answer for one user of a batched
+// direct read.
+type directAnswer struct {
+	// status is respView (view is valid), respStaleRoute (the lease is
+	// fenced: epoch and placement are the server's own tokens) or
+	// respNotHere (this replica does not hold the view).
+	status           uint8
+	view             View
+	epoch, placement uint64
+}
+
+// encodeDirectAnswers builds a respDirect body: uint16(n) | n ×
+// { uint8(status) | view (respView) or stale-route tokens
+// (respStaleRoute) or nothing (respNotHere) } | uint64(epoch) — the
+// answering server's membership epoch.
+func encodeDirectAnswers(answers []directAnswer, epoch uint64) []byte {
+	// Size the body exactly: it carries a whole feed's views, and growing
+	// it view by view would allocate about twice its size.
+	size := 2 + len(answers) + 8
+	for _, a := range answers {
+		switch a.status {
+		case respView:
+			size += viewLen(a.view)
+		case respStaleRoute:
+			size += staleRouteLen
+		}
+	}
+	buf := binary.LittleEndian.AppendUint16(make([]byte, 0, size), uint16(len(answers)))
+	for _, a := range answers {
+		buf = append(buf, a.status)
+		switch a.status {
+		case respView:
+			buf = encodeView(buf, a.view)
+		case respStaleRoute:
+			buf = appendStaleRoute(buf, a.epoch, a.placement)
+		}
+	}
+	return appendEpochTrailer(buf, epoch)
+}
+
+// decodeDirectAnswers parses a respDirect body. The count is checked
+// against the bytes present before allocating (every answer takes at
+// least its status byte); an unknown status, a truncated answer or bytes
+// after the epoch trailer are ErrBadFrame.
+func decodeDirectAnswers(b []byte) ([]directAnswer, uint64, error) {
+	if len(b) < 2 {
+		return nil, 0, ErrBadFrame
+	}
+	n := int(binary.LittleEndian.Uint16(b[0:2]))
+	b = b[2:]
+	if n > len(b) {
+		return nil, 0, ErrBadFrame
+	}
+	answers := make([]directAnswer, n)
+	for i := range answers {
+		if len(b) < 1 {
+			return nil, 0, ErrBadFrame
+		}
+		a := &answers[i]
+		a.status = b[0]
+		b = b[1:]
+		switch a.status {
+		case respView:
+			v, rest, err := decodeView(b)
+			if err != nil {
+				return nil, 0, err
+			}
+			a.view, b = v, rest
+		case respStaleRoute:
+			e, pv, err := decodeStaleRoute(b)
+			if err != nil {
+				return nil, 0, err
+			}
+			a.epoch, a.placement, b = e, pv, b[staleRouteLen:]
+		case respNotHere:
+		default:
+			return nil, 0, ErrBadFrame
+		}
+	}
+	epoch, err := decodeEpochTrailer(b)
+	if err != nil || len(b) != 8 {
+		return nil, 0, ErrBadFrame
+	}
+	return answers, epoch, nil
+}
+
+// staleRouteLen is the wire size of a respStaleRoute's two tokens.
+const staleRouteLen = 16
+
+// appendStaleRoute appends a respStaleRoute answer: the server's own view
+// of the two fencing tokens — uint64(epoch) | uint64(placement) — so the
 // refused client learns how far behind its lease is.
 func appendStaleRoute(buf []byte, epoch, placement uint64) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, epoch)
 	return binary.LittleEndian.AppendUint64(buf, placement)
 }
 
-// decodeStaleRoute parses a respStaleRoute body.
+// decodeStaleRoute parses a respStaleRoute answer.
 func decodeStaleRoute(b []byte) (epoch, placement uint64, err error) {
-	if len(b) < 16 {
+	if len(b) < staleRouteLen {
 		return 0, 0, ErrBadFrame
 	}
 	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]), nil

@@ -132,7 +132,7 @@ func TestParseHello(t *testing.T) {
 			t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)
 		}
 	}
-	if err := parseHello([]byte("XXXX\x06")); !errors.Is(err, ErrBadFrame) {
+	if err := parseHello([]byte("XXXX\x07")); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("bad magic: err = %v, want ErrBadFrame", err)
 	}
 	if err := parseHello([]byte{'D', 'S'}); !errors.Is(err, ErrBadFrame) {
@@ -213,7 +213,7 @@ func TestHelloBadMagicRejected(t *testing.T) {
 // the wire.
 func TestHelloWrongVersionRefused(t *testing.T) {
 	b, _, _ := testCluster(t, 1, nil)
-	for _, v := range []byte{3, 4, 5, 7} {
+	for _, v := range []byte{4, 5, 6, 8} {
 		f := rawHello(t, b.Addr(), append(helloMagic[:], v))
 		if f.msgType != respError {
 			t.Fatalf("version %d: respType = %d, want respError", v, f.msgType)
@@ -835,9 +835,9 @@ func TestLeaseGrantRoundTrip(t *testing.T) {
 		}},
 		{User: 4294967295, Epoch: 18446744073709551615, TTL: 0},
 	} {
-		got, err := decodeLeaseGrant(appendLeaseGrant(nil, l))
-		if err != nil {
-			t.Fatalf("decode %+v: %v", l, err)
+		got, rest, err := decodeLeaseGrant(appendLeaseGrant(nil, l))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("decode %+v: %v (%d bytes left)", l, err, len(rest))
 		}
 		if got.User != l.User || got.Epoch != l.Epoch || got.Placement != l.Placement ||
 			got.TTL != l.TTL || len(got.Replicas) != len(l.Replicas) {
@@ -850,31 +850,121 @@ func TestLeaseGrantRoundTrip(t *testing.T) {
 		}
 	}
 	// Short body, hostile replica count, truncated address.
-	if _, err := decodeLeaseGrant(make([]byte, 25)); err == nil {
+	if _, _, err := decodeLeaseGrant(make([]byte, 25)); err == nil {
 		t.Error("short lease body accepted")
 	}
 	hostile := make([]byte, 26)
 	binary.LittleEndian.PutUint16(hostile[24:26], 65535)
-	if _, err := decodeLeaseGrant(hostile); err == nil {
+	if _, _, err := decodeLeaseGrant(hostile); err == nil {
 		t.Error("hostile replica count accepted")
 	}
 	full := appendLeaseGrant(nil, Lease{TTL: time.Second, Replicas: []LeaseReplica{{Slot: 1, Addr: "abc"}}})
-	if _, err := decodeLeaseGrant(full[:len(full)-1]); err == nil {
+	if _, _, err := decodeLeaseGrant(full[:len(full)-1]); err == nil {
 		t.Error("truncated replica address accepted")
 	}
 }
 
-// TestDirectGetRoundTrip covers the opDirectGet and respStaleRoute
-// codecs: the two fencing-token carriers of the fast path.
+// TestLeaseGrantsRoundTrip covers the batched respLease body: it
+// round-trips, and rejects a short body, trailing bytes and a count
+// larger than the bytes present.
+func TestLeaseGrantsRoundTrip(t *testing.T) {
+	grants := []Lease{
+		{User: 3, Epoch: 2, Placement: 5, TTL: time.Second, Replicas: []LeaseReplica{{Slot: 1, Addr: "a:1"}, {Slot: 0, Addr: "b:2"}}},
+		{User: 9, Epoch: 2, TTL: time.Millisecond},
+	}
+	resp := encodeLeaseGrants(grants)
+	ls, err := decodeLeaseGrants(resp)
+	if err != nil || len(ls) != 2 || ls[0].User != 3 || len(ls[0].Replicas) != 2 || ls[0].Replicas[1].Addr != "b:2" || ls[1].User != 9 {
+		t.Fatalf("lease grants round trip = %+v, %v", ls, err)
+	}
+	if ls, err := decodeLeaseGrants(encodeLeaseGrants(nil)); err != nil || len(ls) != 0 {
+		t.Errorf("no grants = %+v, %v", ls, err)
+	}
+	overCount := append([]byte(nil), resp...)
+	binary.LittleEndian.PutUint32(overCount, 3)
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"short", resp[:3]},
+		{"trailing bytes", append(append([]byte(nil), resp...), 0)},
+		{"truncated grant", resp[:len(resp)-1]},
+		{"count past the body", overCount},
+		{"hostile count", []byte{0xff, 0xff, 0xff, 0xff}},
+	} {
+		if _, err := decodeLeaseGrants(c.body); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("lease grants %s: err = %v, want ErrBadFrame", c.name, err)
+		}
+	}
+}
+
+// TestDirectGetRoundTrip covers the batched opDirectGet request and
+// respDirect answer — the carriers of the fast path's fencing tokens:
+// both round-trip, and each rejects a short body, trailing bytes and a
+// count larger than the bytes present; the answer also rejects an
+// unknown per-user status.
 func TestDirectGetRoundTrip(t *testing.T) {
-	user, epoch, placement, err := decodeDirectGet(encodeDirectGet(42, 7, 19))
-	if err != nil || user != 42 || epoch != 7 || placement != 19 {
-		t.Fatalf("direct get round trip = (%d, %d, %d, %v)", user, epoch, placement, err)
+	reqs := []directGetReq{{user: 42, epoch: 7, placement: 19}, {user: 0, epoch: 1<<64 - 1}}
+	req := encodeDirectGet(reqs)
+	got, err := decodeDirectGet(req)
+	if err != nil || len(got) != 2 || got[0] != reqs[0] || got[1] != reqs[1] {
+		t.Fatalf("direct get round trip = %+v, %v", got, err)
 	}
-	if _, _, _, err := decodeDirectGet(make([]byte, 19)); err == nil {
-		t.Error("short direct get accepted")
+	answers := []directAnswer{
+		{status: respView, view: viewOf(4, 9)},
+		{status: respStaleRoute, epoch: 8, placement: 20},
+		{status: respNotHere},
 	}
-	epoch, placement, err = decodeStaleRoute(appendStaleRoute(nil, 8, 20))
+	resp := encodeDirectAnswers(answers, 8)
+	back, epoch, err := decodeDirectAnswers(resp)
+	if err != nil || epoch != 8 || len(back) != 3 {
+		t.Fatalf("direct answers round trip = %+v, %d, %v", back, epoch, err)
+	}
+	if back[0].status != respView || back[0].view.Version != 9 || len(back[0].view.Events) != 2 {
+		t.Errorf("view answer = %+v", back[0])
+	}
+	if back[1].status != respStaleRoute || back[1].epoch != 8 || back[1].placement != 20 {
+		t.Errorf("stale-route answer = %+v", back[1])
+	}
+	if back[2].status != respNotHere {
+		t.Errorf("not-here answer = %+v", back[2])
+	}
+	overCount := func(b []byte) []byte {
+		b = append([]byte(nil), b...)
+		binary.LittleEndian.PutUint16(b, binary.LittleEndian.Uint16(b)+1)
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"short", req[:1]},
+		{"trailing bytes", append(append([]byte(nil), req...), 0)},
+		{"truncated user", req[:len(req)-1]},
+		{"count past the body", overCount(req)},
+	} {
+		if _, err := decodeDirectGet(c.body); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("direct get %s: err = %v, want ErrBadFrame", c.name, err)
+		}
+	}
+	unknown := encodeDirectAnswers([]directAnswer{{status: respNotHere}}, 8)
+	unknown[2] = respOK
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"short", resp[:1]},
+		{"trailing bytes", append(append([]byte(nil), resp...), 0)},
+		{"no epoch trailer", resp[:len(resp)-8]},
+		{"count past the body", overCount(resp)},
+		{"hostile count", []byte{0xff, 0xff, 0}},
+		{"unknown status", unknown},
+	} {
+		if _, _, err := decodeDirectAnswers(c.body); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("direct answers %s: err = %v, want ErrBadFrame", c.name, err)
+		}
+	}
+	epoch, placement, err := decodeStaleRoute(appendStaleRoute(nil, 8, 20))
 	if err != nil || epoch != 8 || placement != 20 {
 		t.Fatalf("stale route round trip = (%d, %d, %v)", epoch, placement, err)
 	}
@@ -911,9 +1001,9 @@ func TestPutMetaTrailer(t *testing.T) {
 	}
 }
 
-// FuzzDecodeLease drives the respLease codec: whatever decodes must
-// re-encode to the identical prefix, and hostile replica counts must be
-// rejected before allocation.
+// FuzzDecodeLease drives the one-grant codec of respLease: whatever
+// decodes must re-encode to the identical prefix, and hostile replica
+// counts must be rejected before allocation.
 func FuzzDecodeLease(f *testing.F) {
 	f.Add(appendLeaseGrant(nil, Lease{User: 1, Epoch: 2, Placement: 3, TTL: time.Second,
 		Replicas: []LeaseReplica{{Slot: 0, Addr: "127.0.0.1:9001"}}}))
@@ -921,30 +1011,72 @@ func FuzzDecodeLease(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 26))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := decodeLeaseGrant(data)
+		l, rest, err := decodeLeaseGrant(data)
 		if err != nil {
 			return
 		}
 		re := appendLeaseGrant(nil, l)
-		if !bytes.Equal(re, data[:len(re)]) {
+		if !bytes.Equal(re, data[:len(re)]) || len(re)+len(rest) != len(data) {
 			t.Fatalf("lease round trip mismatch: %x != %x", re, data[:len(re)])
 		}
 	})
 }
 
-// FuzzDecodeDirectGet drives the opDirectGet body codec.
-func FuzzDecodeDirectGet(f *testing.F) {
-	f.Add(encodeDirectGet(7, 1, 2))
+// FuzzDecodeLeaseGrants drives the batched respLease body: whatever
+// decodes must re-encode to exactly the input.
+func FuzzDecodeLeaseGrants(f *testing.F) {
+	f.Add(encodeLeaseGrants([]Lease{{User: 1, Epoch: 2, Placement: 3, TTL: time.Second,
+		Replicas: []LeaseReplica{{Slot: 0, Addr: "127.0.0.1:9001"}}}, {User: 4, TTL: time.Millisecond}}))
+	f.Add(encodeLeaseGrants(nil))
 	f.Add([]byte{})
-	f.Add(make([]byte, 19))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		user, epoch, placement, err := decodeDirectGet(data)
+		ls, err := decodeLeaseGrants(data)
 		if err != nil {
 			return
 		}
-		re := encodeDirectGet(user, epoch, placement)
-		if !bytes.Equal(re, data[:len(re)]) {
-			t.Fatalf("direct get round trip mismatch")
+		if re := encodeLeaseGrants(ls); !bytes.Equal(re, data) {
+			t.Fatalf("lease grants round trip mismatch: %x != %x", re, data)
+		}
+	})
+}
+
+// FuzzDecodeDirectGet drives the batched opDirectGet body codec:
+// whatever decodes must re-encode to exactly the input.
+func FuzzDecodeDirectGet(f *testing.F) {
+	f.Add(encodeDirectGet([]directGetReq{{user: 7, epoch: 1, placement: 2}, {user: 8, epoch: 1}}))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, err := decodeDirectGet(data)
+		if err != nil {
+			return
+		}
+		if re := encodeDirectGet(reqs); !bytes.Equal(re, data) {
+			t.Fatalf("direct get round trip mismatch: %x != %x", re, data)
+		}
+	})
+}
+
+// FuzzDecodeDirectAnswers drives the respDirect body codec: whatever
+// decodes must re-encode to exactly the input, and hostile counts must be
+// rejected before allocation.
+func FuzzDecodeDirectAnswers(f *testing.F) {
+	f.Add(encodeDirectAnswers([]directAnswer{
+		{status: respView, view: viewOf(4, 9)},
+		{status: respStaleRoute, epoch: 8, placement: 20},
+		{status: respNotHere},
+	}, 8))
+	f.Add(encodeDirectAnswers(nil, 1))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, respNotHere})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		answers, epoch, err := decodeDirectAnswers(data)
+		if err != nil {
+			return
+		}
+		if re := encodeDirectAnswers(answers, epoch); !bytes.Equal(re, data) {
+			t.Fatalf("direct answers round trip mismatch: %x != %x", re, data)
 		}
 	})
 }

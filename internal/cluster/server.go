@@ -180,35 +180,19 @@ func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		s.putHist.Observe(time.Since(start))
 		return respOK, nil
 	case opDirectGet:
-		user, epoch, placement, err := decodeDirectGet(body)
+		reqs, err := decodeDirectGet(body)
 		if err != nil {
-			return respError, errorBody("short direct get")
+			return respError, errorBody("bad direct get")
 		}
 		start := time.Now()
-		defer func() { s.directHist.Observe(time.Since(start)) }()
 		se := s.epoch.Load()
-		if se == 0 || epoch != se {
-			// Either this server cannot prove any lease current (it has
-			// not learned its epoch yet) or the client's membership view
-			// diverged from the server's — fence rather than risk a read
-			// against a superseded placement.
-			s.directStale.Add(1)
-			return respStaleRoute, appendStaleRoute(nil, se, 0)
+		answers := make([]directAnswer, len(reqs))
+		for i, r := range reqs {
+			answers[i] = s.directGet(r, se)
 		}
-		cv, ok := s.lookup(user)
-		if !ok {
-			s.directStale.Add(1)
-			return respNotHere, nil
-		}
-		if cv.placement > placement {
-			// The view was re-placed after the lease was minted; the
-			// client's replica set may name servers the broker already
-			// deleted from.
-			s.directStale.Add(1)
-			return respStaleRoute, appendStaleRoute(nil, se, cv.placement)
-		}
-		s.directReads.Add(1)
-		return respView, appendEpochTrailer(encodeView(nil, cv.View), se)
+		resp := encodeDirectAnswers(answers, se)
+		s.directHist.Observe(time.Since(start))
+		return respDirect, resp
 	case opEpochPush:
 		if len(body) < 8 {
 			return respError, errorBody("short epoch push")
@@ -225,6 +209,32 @@ func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 	default:
 		return respError, errorBody("unknown op")
 	}
+}
+
+// directGet answers one user of a batched direct read against the
+// server's epoch se, counting the view served or the refusal.
+func (s *Server) directGet(r directGetReq, se uint64) directAnswer {
+	if se == 0 || r.epoch != se {
+		// Either this server cannot prove any lease current (it has not
+		// learned its epoch yet) or the client's membership view diverged
+		// from the server's — fence rather than risk a read against a
+		// superseded placement.
+		s.directStale.Add(1)
+		return directAnswer{status: respStaleRoute, epoch: se}
+	}
+	cv, ok := s.lookup(r.user)
+	if !ok {
+		s.directStale.Add(1)
+		return directAnswer{status: respNotHere}
+	}
+	if cv.placement > r.placement {
+		// The view was re-placed after the lease was minted; the client's
+		// replica set may name servers the broker already deleted from.
+		s.directStale.Add(1)
+		return directAnswer{status: respStaleRoute, epoch: se, placement: cv.placement}
+	}
+	s.directReads.Add(1)
+	return directAnswer{status: respView, view: cv.View}
 }
 
 // NumViews returns how many views the server currently holds.
@@ -266,9 +276,10 @@ type ServerStats struct {
 	Misses int64
 	Puts   int64
 	// DirectReads counts views served straight to clients over the
-	// direct-read fast path; DirectStale counts direct reads the server
-	// refused (stale epoch, stale placement version, or view not here) —
-	// each refusal sent the client back to the broker.
+	// direct-read fast path; DirectStale counts users of direct reads
+	// the server refused (stale epoch, stale placement version, or view
+	// not here) — each refusal sent the client to another replica or back
+	// to the broker. Both count users, not batched frames.
 	DirectReads int64
 	DirectStale int64
 }

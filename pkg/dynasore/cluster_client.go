@@ -16,11 +16,6 @@ import (
 // connection-level failure.
 const endpointCooldown = time.Second
 
-// readBatchSize is the target count above which a multi-user Read is split
-// into concurrent chunks, so one huge feed read does not serialize behind a
-// single round trip.
-const readBatchSize = 256
-
 // DialOption customizes Dial and DialCluster.
 type DialOption func(*dialConfig)
 
@@ -273,15 +268,15 @@ func (c *ClusterClient) try(ctx context.Context, start int, op func(*cluster.Cli
 }
 
 // readChunk fetches one batch of views through any available broker.
-func (c *ClusterClient) readChunk(ctx context.Context, targets []uint32) ([]View, error) {
-	var out []View
+func (c *ClusterClient) readChunk(ctx context.Context, targets []uint32) ([]cluster.View, error) {
+	var out []cluster.View
 	start := int(c.next.Add(1)) % len(c.endpoints)
 	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		views, err := cl.Read(ctx, targets)
 		if err != nil {
 			return err
 		}
-		out = fromClusterViews(views)
+		out = views
 		c.noteEpoch(cl.Epoch())
 		return nil
 	})
@@ -334,52 +329,57 @@ func (c *ClusterClient) noteEpoch(e uint64) {
 	}()
 }
 
-// leaseAsync requests a direct-read lease for user in the background,
-// unless a valid lease is already cached or a request is already in
-// flight. Lease traffic therefore stays bounded by the miss rate: one
-// outstanding request per missing user, not one per read.
-func (c *ClusterClient) leaseAsync(user uint32) {
-	if c.direct.HasLease(user) {
-		return
-	}
+// leaseAsync leases users for direct reads in one background request,
+// skipping users that already have a request in flight. Lease traffic
+// therefore stays bounded by the miss rate: at most one outstanding
+// request per missing user, not one per read.
+func (c *ClusterClient) leaseAsync(users []uint32) {
 	c.leaseMu.Lock()
-	if _, busy := c.leasePending[user]; busy {
-		c.leaseMu.Unlock()
+	var want []uint32
+	for _, u := range users {
+		if _, busy := c.leasePending[u]; !busy {
+			c.leasePending[u] = struct{}{}
+			want = append(want, u)
+		}
+	}
+	c.leaseMu.Unlock()
+	if len(want) == 0 {
 		return
 	}
-	c.leasePending[user] = struct{}{}
-	c.leaseMu.Unlock()
+	done := func() {
+		c.leaseMu.Lock()
+		for _, u := range want {
+			delete(c.leasePending, u)
+		}
+		c.leaseMu.Unlock()
+	}
 	// Same barrier as noteEpoch: the closed-check-then-Add must not race
 	// Close's WaitGroup.
 	c.refreshMu.Lock()
 	if c.closed.Load() {
 		c.refreshMu.Unlock()
-		c.leaseMu.Lock()
-		delete(c.leasePending, user)
-		c.leaseMu.Unlock()
+		done()
 		return
 	}
 	c.refreshes.Add(1)
 	c.refreshMu.Unlock()
 	go func() {
 		defer c.refreshes.Done()
-		defer func() {
-			c.leaseMu.Lock()
-			delete(c.leasePending, user)
-			c.leaseMu.Unlock()
-		}()
+		defer done()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		start := int(c.next.Add(1)) % len(c.endpoints)
 		// Failure is harmless: reads keep working through the broker, and
 		// the next miss re-arms the request.
 		_ = c.try(ctx, start, func(cl *cluster.Client) error {
-			l, err := cl.Lease(ctx, user)
+			ls, err := cl.Leases(ctx, want)
 			if err != nil {
 				return err
 			}
 			c.noteEpoch(cl.Epoch())
-			c.direct.Install(l)
+			for _, l := range ls {
+				c.direct.Install(l)
+			}
 			return nil
 		})
 	}()
@@ -468,59 +468,46 @@ func (c *ClusterClient) adminOp(ctx context.Context, op func(*cluster.Client) (c
 // Read fetches the views of every user in targets, in order. Each call is
 // served by the next broker round-robin; target lists larger than the read
 // batch size are split into concurrent chunks, so one big feed read spreads
-// across the whole broker tier. With WithDirectReads, each target is first
-// tried against its leased cache servers — one hop — and only the misses
-// go through a broker; users that missed get a lease requested in the
-// background so the next read of them can go direct.
+// across the whole broker tier. With WithDirectReads, the leased targets
+// are read straight from their cache servers — one frame per server —
+// while the rest go through a broker at the same time; the users the
+// broker served are leased in one background request so their next read
+// can go direct.
 func (c *ClusterClient) Read(ctx context.Context, targets []uint32) ([]View, error) {
 	if len(targets) == 0 {
 		return []View{}, nil
 	}
 	if c.direct == nil {
-		return c.brokerRead(ctx, targets)
-	}
-	out := make([]View, len(targets))
-	var missIdx []int
-	var missTargets []uint32
-	for i, u := range targets {
-		if v, ok := c.direct.TryRead(ctx, u); ok {
-			out[i] = fromClusterView(v)
-			continue
+		views, err := c.brokerRead(ctx, targets)
+		if err != nil {
+			return nil, err
 		}
-		missIdx = append(missIdx, i)
-		missTargets = append(missTargets, u)
+		return fromClusterViews(views), nil
 	}
-	if len(missTargets) == 0 {
-		return out, nil
-	}
-	views, err := c.brokerRead(ctx, missTargets)
+	views, unleased, err := c.direct.ReadMany(ctx, targets, c.brokerRead)
 	if err != nil {
 		return nil, err
 	}
-	for j, v := range views {
-		out[missIdx[j]] = v
-		// Feed the broker-served version into the client-side fence, and
-		// re-lease the user in the background if no valid lease remains.
-		c.direct.Observe(missTargets[j], v.Version)
-		c.leaseAsync(missTargets[j])
+	if len(unleased) > 0 {
+		c.leaseAsync(unleased)
 	}
-	return out, nil
+	return fromClusterViews(views), nil
 }
 
 // brokerRead is the broker-proxied read path: round-robin chunked reads
 // across the broker tier.
-func (c *ClusterClient) brokerRead(ctx context.Context, targets []uint32) ([]View, error) {
-	if len(targets) <= readBatchSize {
+func (c *ClusterClient) brokerRead(ctx context.Context, targets []uint32) ([]cluster.View, error) {
+	if len(targets) <= cluster.MaxBatch {
 		return c.readChunk(ctx, targets)
 	}
-	out := make([]View, len(targets))
+	out := make([]cluster.View, len(targets))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	for start := 0; start < len(targets); start += readBatchSize {
-		end := min(start+readBatchSize, len(targets))
+	for start := 0; start < len(targets); start += cluster.MaxBatch {
+		end := min(start+cluster.MaxBatch, len(targets))
 		wg.Add(1)
 		go func(start, end int) {
 			defer wg.Done()

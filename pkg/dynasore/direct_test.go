@@ -117,6 +117,16 @@ func TestDirectReadsSurviveChurn(t *testing.T) {
 	stop := make(chan struct{})
 	var failed atomic.Int64
 	var wrong atomic.Int64
+	// firstFail names the first failed op: its kind, user(s) and error.
+	var failMu sync.Mutex
+	var firstFail string
+	fail := func(op string, err error) {
+		if failed.Add(1) == 1 {
+			failMu.Lock()
+			firstFail = fmt.Sprintf("%s: %v", op, err)
+			failMu.Unlock()
+		}
+	}
 	var wg sync.WaitGroup
 	// Readers: each keeps its own high-water mark per user; a view below
 	// it is a wrong-version read — the fencing failed.
@@ -133,7 +143,7 @@ func TestDirectReadsSurviveChurn(t *testing.T) {
 				}
 				views, err := c.Read(ctx, targets)
 				if err != nil {
-					failed.Add(1)
+					fail(fmt.Sprintf("read of users 0..%d", users-1), err)
 					return
 				}
 				for i, v := range views {
@@ -159,7 +169,7 @@ func TestDirectReadsSurviveChurn(t *testing.T) {
 			}
 			u := uint32(i % users)
 			if _, err := c.Write(ctx, u, []byte("churn post")); err != nil {
-				failed.Add(1)
+				fail(fmt.Sprintf("write of user %d", u), err)
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -215,7 +225,9 @@ func TestDirectReadsSurviveChurn(t *testing.T) {
 	wg.Wait()
 
 	if n := failed.Load(); n != 0 {
-		t.Errorf("%d reads/writes failed during churn", n)
+		failMu.Lock()
+		t.Errorf("%d reads/writes failed during churn; first: %s", n, firstFail)
+		failMu.Unlock()
 	}
 	if n := wrong.Load(); n != 0 {
 		t.Errorf("%d wrong-version reads during churn", n)
