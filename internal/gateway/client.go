@@ -35,65 +35,116 @@ func NewClient(baseURL, token string) *Client {
 	}
 }
 
-// do runs one request and decodes the JSON answer into out (skipped
-// when out is nil). Non-2xx answers become errors quoting the
-// gateway's error envelope and request ID.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+// maxAnswer bounds the body of any gateway answer the client reads. The
+// largest legitimate one is a /v1/feed answer at the gateway's read cap;
+// 64 MiB is far above that and still a sane allocation.
+const maxAnswer = 64 << 20
+
+// do runs one request and returns the answer's body, read into one
+// allocation. Non-2xx answers become errors quoting the gateway's error
+// envelope and request ID.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return fmt.Errorf("gateway client: %w", err)
+		return nil, fmt.Errorf("gateway client: %w", err)
 	}
 	if c.token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.token)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("gateway client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("gateway client: %s %s: %w", method, path, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
+	answer, err := readBody(resp.Body, resp.ContentLength, maxAnswer)
 	if resp.StatusCode/100 != 2 {
 		var eb errorBody
 		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&eb) == nil && eb.Error != "" {
+		if err == nil && json.Unmarshal(answer, &eb) == nil && eb.Error != "" {
 			msg = eb.Error
 			if eb.RequestID != "" {
 				msg += " (request " + eb.RequestID + ")"
 			}
 		}
-		return fmt.Errorf("gateway client: %s %s: %s: %s", method, path, resp.Status, msg)
+		return nil, fmt.Errorf("gateway client: %s %s: %s: %s", method, path, resp.Status, msg)
 	}
-	if out == nil {
-		return nil
+	if err != nil {
+		return nil, fmt.Errorf("gateway client: %s %s: %w", method, path, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	return answer, nil
+}
+
+// doJSON runs one request and decodes its JSON answer into out.
+func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out any) error {
+	answer, err := c.do(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(answer, out); err != nil {
 		return fmt.Errorf("gateway client: decode %s %s: %w", method, path, err)
 	}
 	return nil
 }
 
+// readBody reads a whole answer body of n bytes into one allocation,
+// refusing an n over limit before allocating anything. When n is
+// unknown (-1) it reads what arrives, up to limit.
+func readBody(r io.Reader, n, limit int64) ([]byte, error) {
+	if n > limit {
+		return nil, fmt.Errorf("answer of %d bytes is over the %d-byte cap", n, limit)
+	}
+	if n < 0 {
+		b, err := io.ReadAll(io.LimitReader(r, limit+1))
+		if err != nil {
+			return nil, fmt.Errorf("read answer: %w", err)
+		}
+		if int64(len(b)) > limit {
+			return nil, fmt.Errorf("answer is over the %d-byte cap", limit)
+		}
+		return b, nil
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, fmt.Errorf("read answer: %w", err)
+	}
+	return b, nil
+}
+
 // Read fetches the views of every user in targets, in order, via
-// GET /v1/feed.
+// GET /v1/feed. The answer must name exactly those users, in that
+// order; each view's events share one slab.
 func (c *Client) Read(ctx context.Context, targets []uint32) ([]dynasore.View, error) {
-	parts := make([]string, len(targets))
+	var path strings.Builder
+	path.Grow(len("/v1/feed?users=") + len("4294967295,")*len(targets))
+	path.WriteString("/v1/feed?users=")
+	var digits [10]byte
 	for i, u := range targets {
-		parts[i] = strconv.FormatUint(uint64(u), 10)
+		if i > 0 {
+			path.WriteByte(',')
+		}
+		path.Write(strconv.AppendUint(digits[:0], uint64(u), 10))
 	}
-	var resp struct {
-		Views []viewJSON `json:"views"`
-	}
-	path := "/v1/feed?users=" + url.QueryEscape(strings.Join(parts, ","))
-	if err := c.do(ctx, http.MethodGet, path, nil, &resp); err != nil {
+	answer, err := c.do(ctx, http.MethodGet, path.String(), nil)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]dynasore.View, len(resp.Views))
-	for i, v := range resp.Views {
-		out[i] = dynasore.View{Version: v.Version, Events: v.Events}
+	users, views, err := decodeFeed(answer)
+	if err != nil {
+		return nil, fmt.Errorf("gateway client: decode GET /v1/feed: %w", err)
 	}
-	return out, nil
+	if len(users) != len(targets) {
+		return nil, fmt.Errorf("gateway client: GET /v1/feed answered %d views for %d users", len(users), len(targets))
+	}
+	for i, u := range users {
+		if u != targets[i] {
+			return nil, fmt.Errorf("gateway client: GET /v1/feed answered user %d where %d was asked", u, targets[i])
+		}
+	}
+	return views, nil
 }
 
 // Write appends payload to user's view via POST /v1/feed/{user} and
@@ -106,7 +157,7 @@ func (c *Client) Write(ctx context.Context, user uint32, payload []byte) (uint64
 		Seq uint64 `json:"seq"`
 	}
 	path := "/v1/feed/" + strconv.FormatUint(uint64(user), 10)
-	if err := c.do(ctx, http.MethodPost, path, payload, &resp); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, path, payload, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Seq, nil
@@ -115,7 +166,7 @@ func (c *Client) Write(ctx context.Context, user uint32, payload []byte) (uint64
 // Stats returns the broker's counter snapshot via GET /v1/stats.
 func (c *Client) Stats(ctx context.Context) (dynasore.Stats, error) {
 	var st dynasore.Stats
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/v1/stats", nil, &st); err != nil {
 		return dynasore.Stats{}, err
 	}
 	return st, nil
@@ -155,7 +206,7 @@ func stateFromString(s string) dynasore.ServerState {
 // GET /v1/servers.
 func (c *Client) Membership(ctx context.Context) (dynasore.Membership, error) {
 	var m membershipJSON
-	if err := c.do(ctx, http.MethodGet, "/v1/servers", nil, &m); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/v1/servers", nil, &m); err != nil {
 		return dynasore.Membership{}, err
 	}
 	return fromMembershipJSON(m), nil
@@ -168,7 +219,7 @@ func (c *Client) AddServer(ctx context.Context, addr string, pos dynasore.Positi
 		return dynasore.Membership{}, fmt.Errorf("gateway client: %w", err)
 	}
 	var m membershipJSON
-	if err := c.do(ctx, http.MethodPost, "/v1/servers", body, &m); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, "/v1/servers", body, &m); err != nil {
 		return dynasore.Membership{}, err
 	}
 	return fromMembershipJSON(m), nil
@@ -179,7 +230,7 @@ func (c *Client) AddServer(ctx context.Context, addr string, pos dynasore.Positi
 func (c *Client) DrainServer(ctx context.Context, addr string) (dynasore.Membership, error) {
 	var m membershipJSON
 	path := "/v1/servers/" + url.PathEscape(addr) + "/drain"
-	if err := c.do(ctx, http.MethodPost, path, nil, &m); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, path, nil, &m); err != nil {
 		return dynasore.Membership{}, err
 	}
 	return fromMembershipJSON(m), nil
@@ -189,7 +240,7 @@ func (c *Client) DrainServer(ctx context.Context, addr string) (dynasore.Members
 func (c *Client) RemoveServer(ctx context.Context, addr string) (dynasore.Membership, error) {
 	var m membershipJSON
 	path := "/v1/servers/" + url.PathEscape(addr)
-	if err := c.do(ctx, http.MethodDelete, path, nil, &m); err != nil {
+	if err := c.doJSON(ctx, http.MethodDelete, path, nil, &m); err != nil {
 		return dynasore.Membership{}, err
 	}
 	return fromMembershipJSON(m), nil

@@ -147,6 +147,18 @@ func (g *Gateway) writeJSON(w http.ResponseWriter, r *http.Request, code int, v 
 	}
 }
 
+// writeFeedJSON answers 200 with body, JSON appended by the feed codec
+// (feed.go), in one write with its Content-Length set.
+func (g *Gateway) writeFeedJSON(w http.ResponseWriter, r *http.Request, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		g.log.Debug("write response", "err", err, "rid", RequestID(r.Context()))
+	}
+}
+
 // statusOf maps a store error onto the HTTP status that tells the
 // client the right story: who was wrong (4xx) and whether to retry
 // (503/504 yes, 409 after re-reading state). Classification is by
@@ -178,22 +190,6 @@ func (g *Gateway) storeError(w http.ResponseWriter, r *http.Request, err error) 
 		g.log.Warn("store error", "err", err, "path", r.URL.Path, "rid", RequestID(r.Context()))
 	}
 	g.writeError(w, r, code, err)
-}
-
-// viewJSON is one user's feed view on the wire: events are base64 (the
-// store holds opaque bytes), oldest first.
-type viewJSON struct {
-	User    uint32   `json:"user"`
-	Version uint64   `json:"version"`
-	Events  [][]byte `json:"events"`
-}
-
-func toViewJSON(user uint32, v dynasore.View) viewJSON {
-	out := viewJSON{User: user, Version: v.Version, Events: v.Events}
-	if out.Events == nil {
-		out.Events = [][]byte{} // render "events": [] — never null
-	}
-	return out
 }
 
 // handleHealthz is the liveness probe: the process is up and serving.
@@ -342,11 +338,7 @@ func (g *Gateway) handleReadMulti(w http.ResponseWriter, r *http.Request) {
 		g.storeError(w, r, err)
 		return
 	}
-	out := make([]viewJSON, len(views))
-	for i, v := range views {
-		out[i] = toViewJSON(targets[i], v)
-	}
-	g.writeJSON(w, r, http.StatusOK, map[string][]viewJSON{"views": out})
+	g.writeFeedJSON(w, r, appendFeed(make([]byte, 0, feedSize(views)), targets, views))
 }
 
 // handleReadOne is GET /v1/feed/{user}. A user with no events answers
@@ -367,7 +359,8 @@ func (g *Gateway) handleReadOne(w http.ResponseWriter, r *http.Request) {
 		g.storeError(w, r, fmt.Errorf("%w: %d", dynasore.ErrNoSuchUser, user))
 		return
 	}
-	g.writeJSON(w, r, http.StatusOK, toViewJSON(user, views[0]))
+	body := feedBuf(make([]byte, 0, viewSize(views[0])+len("\n"))).appendView(user, views[0])
+	g.writeFeedJSON(w, r, append(body, '\n'))
 }
 
 // handleWrite is POST /v1/feed/{user} with the raw event payload as the

@@ -53,7 +53,7 @@ func testLogger() *slog.Logger {
 
 // newTestGateway builds a gateway over a fakeStore with cfg mutated by
 // mutate (nil for the given base).
-func newTestGateway(t *testing.T, store dynasore.Store, mutate func(*gwconfig.Config)) *Gateway {
+func newTestGateway(t testing.TB, store dynasore.Store, mutate func(*gwconfig.Config)) *Gateway {
 	t.Helper()
 	cfg := gwconfig.Default()
 	cfg.Brokers = []string{"unused:1"}
