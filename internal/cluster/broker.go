@@ -493,7 +493,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 		if i == selfIdx {
 			continue
 		}
-		ps := &peerState{idx: i, info: p, conn: newClient(p.Addr, serverPoolSize, b.tel), timeout: peerTimeout(cfg.SyncEvery)}
+		ps := &peerState{idx: i, info: p, conn: newLink(p.Addr, peerTimeout(cfg.SyncEvery), b.tel)}
 		ps.alive.Store(true) // optimistic until the first probe round
 		b.peers[i] = ps
 	}
@@ -626,7 +626,7 @@ func (b *Broker) buildTable(view membership.View, old *serverTable) (*serverTabl
 			old.view.Servers[i].Addr == s.Addr {
 			t.conns[i] = old.conns[i]
 		} else {
-			t.conns[i] = newClient(s.Addr, serverPoolSize, b.tel)
+			t.conns[i] = newLink(s.Addr, serverCallTimeout, b.tel)
 		}
 	}
 	return t, nil
@@ -1407,7 +1407,7 @@ func (b *Broker) peerFreshestView(user uint32, floor uint64) (View, bool) {
 		if p == nil || !p.alive.Load() {
 			continue
 		}
-		respType, body, err := p.roundTrip(opViewPull, binary.LittleEndian.AppendUint32(nil, user))
+		respType, body, err := p.conn.roundTrip(opViewPull, binary.LittleEndian.AppendUint32(nil, user), telemetry.TraceContext{})
 		if err != nil || respType != respView {
 			continue
 		}
@@ -2082,7 +2082,7 @@ func (b *Broker) handleAdmin(msgType uint8, body []byte) (uint8, []byte) {
 		if leader == nil || !leader.alive.Load() {
 			return respError, errorBody("membership change: no reachable leader")
 		}
-		respType, respBody, err := leader.roundTrip(msgType, body)
+		respType, respBody, err := leader.conn.roundTrip(msgType, body, telemetry.TraceContext{})
 		if err != nil {
 			return respError, errorBody("forward membership change to leader: " + err.Error())
 		}

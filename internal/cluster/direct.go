@@ -22,17 +22,14 @@ import (
 type DirectReader struct {
 	max int
 
-	// mu guards the lease cache, connection map, and cooldowns. Dials and
+	// mu guards the lease cache and the connection map. Clients are made
+	// under it — they dial lazily, on their first request — and dials and
 	// direct reads always happen outside it.
 	mu     sync.Mutex
 	leases map[uint32]*leaseEntry
 	lru    *list.List // of uint32 user IDs, front = most recently used
 	conns  map[string]*Client
-	// deadUntil backs off redials of an unreachable server, so a burst of
-	// direct reads against a crashed replica costs one dial per cooldown,
-	// not one per read.
-	deadUntil map[string]time.Time
-	closed    bool
+	closed bool
 
 	// epoch is the highest membership epoch observed anywhere (lease
 	// grants, broker responses, direct-read epoch trailers). A cached lease minted
@@ -66,10 +63,6 @@ type leaseEntry struct {
 	elem       *list.Element
 }
 
-// redialCooldown is how long a cache server that failed to dial is
-// skipped by the fast path before it is tried again.
-const redialCooldown = time.Second
-
 // DefaultMaxLeases bounds the lease cache when NewDirectReader is given a
 // size <= 0.
 const DefaultMaxLeases = 4096
@@ -88,7 +81,6 @@ func NewDirectReader(maxLeases int) *DirectReader {
 		leases:     make(map[uint32]*leaseEntry),
 		lru:        list.New(),
 		conns:      make(map[string]*Client),
-		deadUntil:  make(map[string]time.Time),
 		ctrHit:     tel.Counter(ladder, ladderHelp, "stage", "hit"),
 		ctrNoLease: tel.Counter(ladder, ladderHelp, "stage", "no_lease"),
 		ctrExpired: tel.Counter(ladder, ladderHelp, "stage", "lease_expired"),
@@ -382,7 +374,7 @@ func (d *DirectReader) rounds(ctx context.Context, pending []directTarget, views
 // send performs one batch's direct read, leaving b.answers nil when the
 // server cannot be reached or fails the request.
 func (d *DirectReader) send(ctx context.Context, b *directBatch) {
-	c := d.conn(ctx, b.addr)
+	c := d.conn(b.addr)
 	if c == nil {
 		return
 	}
@@ -407,35 +399,27 @@ func (d *DirectReader) dropLocked(user uint32) {
 	d.stale.Add(1)
 }
 
-// conn returns (dialing if needed) the multiplexed connection to a cache
-// server, or nil when the server is in dial cooldown or unreachable. The
-// dial happens outside the lock; a racing dial's loser is closed.
-func (d *DirectReader) conn(ctx context.Context, addr string) *Client {
+// conn returns the multiplexed connection to a cache server, making it
+// (undialed) on first use, or nil when the server failed less than a link
+// cooldown ago — a burst of direct reads against a crashed replica costs
+// one dial per cooldown and pooled connection, not one per read, and its
+// users go to the broker meanwhile. A dial still in flight is awaited by
+// the read that uses the connection.
+func (d *DirectReader) conn(addr string) *Client {
 	d.mu.Lock()
-	c := d.conns[addr]
-	if c != nil || d.closed || time.Now().Before(d.deadUntil[addr]) {
-		d.mu.Unlock()
-		return c
-	}
-	d.mu.Unlock()
-
-	nc, err := Dial(ctx, addr, DefaultPoolSize)
-
-	d.mu.Lock()
-	if err != nil {
-		d.deadUntil[addr] = time.Now().Add(redialCooldown)
-		d.mu.Unlock()
+	defer d.mu.Unlock()
+	if d.closed {
 		return nil
 	}
-	if cur := d.conns[addr]; cur != nil || d.closed {
-		d.mu.Unlock()
-		nc.Close()
-		return cur
+	c := d.conns[addr]
+	if c == nil {
+		c = newClient(addr, DefaultPoolSize, telemetry.Default())
+		d.conns[addr] = c
 	}
-	delete(d.deadUntil, addr)
-	d.conns[addr] = nc
-	d.mu.Unlock()
-	return nc
+	if c.cooling() {
+		return nil
+	}
+	return c
 }
 
 // Counters reports how many views the fast path served directly and how

@@ -29,10 +29,19 @@ type Client struct {
 	conns  []*muxConn
 	next   atomic.Uint64
 	closed atomic.Bool
+	done   chan struct{} // closed by Close: releases callers awaiting a dial
 	// epoch is the highest membership epoch observed in read and write
 	// response trailers — how a client notices the cluster's cache-server
 	// set changed without polling.
 	epoch atomic.Uint64
+	// callTimeout bounds every roundTrip of a broker's link (dial, hello
+	// and retry included); API calls are bounded by their callers' ctx.
+	callTimeout time.Duration
+	// dialing counts the pool's dials in flight, and failedAt is the
+	// UnixNano time of the last failed dial or broken connection (0 once
+	// a dial succeeds): the two halves of Busy.
+	dialing  atomic.Int32
+	failedAt atomic.Int64
 
 	// tel mints trace contexts and records client-side op latency.
 	tel       *telemetry.Node
@@ -40,23 +49,42 @@ type Client struct {
 	writeHist *telemetry.Histogram
 }
 
-// DefaultPoolSize is the connection pool size used when Dial gets
-// poolSize <= 0.
+// DefaultPoolSize is the connection pool size used when Dial or
+// NewClient gets poolSize <= 0.
 const DefaultPoolSize = 2
 
-// dialTimeout bounds a dial whose context carries no earlier deadline.
+// dialTimeout bounds one dial: the TCP connect and the hello together.
 const dialTimeout = 10 * time.Second
 
+// linkCooldown is how long a Client reports itself Busy after a failed
+// dial or a broken connection. Callers with somewhere else to go — a
+// broker client's other brokers, a direct read's broker path — go there
+// first; a cooling link still serves every request it is given.
+const linkCooldown = time.Second
+
 // Dial connects to a broker (or, for direct reads, a cache server) with
-// poolSize multiplexed connections (DefaultPoolSize if <= 0). The first
-// connection is established eagerly so hello failures surface
-// immediately; the rest are dialed lazily on first use.
+// poolSize multiplexed connections (DefaultPoolSize if <= 0). It is
+// NewClient for a caller that wants a live link or none: on error the
+// client is closed and nil returned.
 func Dial(ctx context.Context, addr string, poolSize int) (*Client, error) {
-	c := newClient(addr, poolSize, telemetry.Default())
-	if err := c.conns[0].connect(ctx); err != nil {
+	c, err := NewClient(ctx, addr, poolSize)
+	if err != nil {
+		c.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+// NewClient returns a client for addr with poolSize multiplexed
+// connections (DefaultPoolSize if <= 0). The first connection is
+// established eagerly so hello failures surface at once; the rest are
+// dialed lazily on first use. The client is returned even when that
+// first dial fails — the failure is on record (Busy reports it) and a
+// later request redials — so a caller that keeps a link across outages
+// needs no second constructor. Close releases it either way.
+func NewClient(ctx context.Context, addr string, poolSize int) (*Client, error) {
+	c := newClient(addr, poolSize, telemetry.Default())
+	return c, c.conns[0].connect(ctx)
 }
 
 // newClient returns a client for addr that dials nothing until its first
@@ -65,11 +93,19 @@ func newClient(addr string, poolSize int, tel *telemetry.Node) *Client {
 	if poolSize <= 0 {
 		poolSize = DefaultPoolSize
 	}
-	c := &Client{addr: addr}
+	c := &Client{addr: addr, done: make(chan struct{})}
 	c.setTelemetry(tel)
 	for i := 0; i < poolSize; i++ {
 		c.conns = append(c.conns, &muxConn{client: c})
 	}
+	return c
+}
+
+// newLink returns a broker's link to a cache server or peer broker: a
+// lazily dialed client whose every roundTrip is bounded by callTimeout.
+func newLink(addr string, callTimeout time.Duration, tel *telemetry.Node) *Client {
+	c := newClient(addr, serverPoolSize, tel)
+	c.callTimeout = callTimeout
 	return c
 }
 
@@ -79,6 +115,22 @@ func (c *Client) setTelemetry(n *telemetry.Node) {
 	c.tel = n
 	c.readHist = n.Histogram("dynasore_client_op_seconds", "Client-observed end-to-end op latency.", "op", "read")
 	c.writeHist = n.Histogram("dynasore_client_op_seconds", "Client-observed end-to-end op latency.", "op", "write")
+}
+
+// Busy reports whether the client has a dial in flight or saw a dial
+// fail or a connection break less than linkCooldown ago. It is advice,
+// not a gate: a busy client still serves every request it is given,
+// awaiting the dial in flight or dialing anew, so a caller with nowhere
+// else to go calls it anyway. Broker links never ask.
+func (c *Client) Busy() bool {
+	return c.dialing.Load() > 0 || c.cooling()
+}
+
+// cooling reports whether the client failed less than linkCooldown ago.
+// It reads the clock only when a failure is on record.
+func (c *Client) cooling() bool {
+	f := c.failedAt.Load()
+	return f != 0 && time.Since(time.Unix(0, f)) < linkCooldown
 }
 
 // wireResp is one demuxed response frame.
@@ -95,46 +147,105 @@ type wireResp struct {
 type muxConn struct {
 	client *Client
 
-	//dynalint:allow lockio connect holds the lock across dial+hello so concurrent callers dial exactly once
-	mu      sync.Mutex // guards conn, gen, pending
+	mu      sync.Mutex // guards conn, gen, pending, dial
 	conn    net.Conn
 	gen     uint64 // bumped on every (re)dial, detects stale failures
 	pending map[uint64]chan wireResp
+	dial    *dialCall // non-nil while a dial is in flight
 
 	//dynalint:allow lockio the write mutex exists to keep concurrent frame writes from interleaving on the socket
 	wmu    sync.Mutex // serializes frame writes
 	nextID atomic.Uint64
 }
 
-// connect establishes the connection and performs the hello. It is a
-// no-op when the connection is already live.
+// dialCall is one in-flight dial of a pooled connection, shared by every
+// caller that finds the connection down while it runs. err is set before
+// done is closed.
+type dialCall struct {
+	done chan struct{}
+	err  error
+}
+
+// connect makes sure the connection is live. When it is down, the first
+// caller starts a dial in a goroutine of its own, outside m.mu and bounded
+// by dialTimeout alone, and every caller meanwhile awaits that one dial,
+// each until its own ctx is done or the client closes. So a hung peer
+// stalls no lock holder, and a caller that gives up leaves the dial to
+// the callers still waiting.
 func (m *muxConn) connect(ctx context.Context) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.conn != nil {
+		m.mu.Unlock()
 		return nil
 	}
 	if m.client.closed.Load() {
+		m.mu.Unlock()
 		return net.ErrClosed
 	}
-	d := net.Dialer{Timeout: dialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", m.client.addr)
+	d := m.dial
+	if d == nil {
+		d = &dialCall{done: make(chan struct{})}
+		m.dial = d
+		m.client.dialing.Add(1)
+		go m.runDial(d)
+	}
+	m.mu.Unlock()
+	select {
+	case <-d.done:
+		return d.err
+	case <-m.client.done:
+		return net.ErrClosed
+	case <-ctx.Done():
+		return fmt.Errorf("cluster: dial %s: %w", m.client.addr, ctx.Err())
+	}
+}
+
+// runDial performs dial d and installs its connection, or closes it when
+// the client was closed meanwhile. A failed dial goes on the client's
+// record; a successful one clears it.
+func (m *muxConn) runDial(d *dialCall) {
+	c := m.client
+	conn, err := c.dialConn()
+	m.mu.Lock()
+	m.dial = nil
+	if err == nil && c.closed.Load() {
+		conn.Close()
+		err = net.ErrClosed
+	}
+	if err == nil {
+		m.conn = conn
+		m.gen++
+		m.pending = make(map[uint64]chan wireResp)
+		go m.readLoop(conn, m.gen)
+	}
+	d.err = err
+	m.mu.Unlock()
+	if err == nil {
+		c.failedAt.Store(0)
+	} else if !c.closed.Load() {
+		c.failedAt.Store(time.Now().UnixNano())
+	}
+	c.dialing.Add(-1)
+	close(d.done)
+}
+
+// dialConn opens one connection to the client's address and performs the
+// hello, both under one dialTimeout deadline: a peer that accepts and
+// never answers fails the dial instead of hanging it.
+func (c *Client) dialConn() (net.Conn, error) {
+	deadline := time.Now().Add(dialTimeout)
+	d := net.Dialer{Deadline: deadline}
+	conn, err := d.Dial("tcp", c.addr)
 	if err != nil {
-		return fmt.Errorf("cluster: dial %s: %w", m.client.addr, err)
+		return nil, fmt.Errorf("cluster: dial %s: %w", c.addr, err)
 	}
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(deadline)
-	}
+	conn.SetDeadline(deadline)
 	if err := clientHello(conn); err != nil {
 		conn.Close()
-		return fmt.Errorf("cluster: hello %s: %w", m.client.addr, err)
+		return nil, fmt.Errorf("cluster: hello %s: %w", c.addr, err)
 	}
 	conn.SetDeadline(time.Time{})
-	m.conn = conn
-	m.gen++
-	m.pending = make(map[uint64]chan wireResp)
-	go m.readLoop(conn, m.gen)
-	return nil
+	return conn, nil
 }
 
 // readLoop demuxes response frames to their callers until the connection
@@ -175,6 +286,9 @@ func (m *muxConn) fail(gen uint64, err error) {
 	pending := m.pending
 	m.pending = nil
 	m.mu.Unlock()
+	if !m.client.closed.Load() {
+		m.client.failedAt.Store(time.Now().UnixNano())
+	}
 	for _, ch := range pending {
 		ch <- wireResp{err: err}
 	}
@@ -264,15 +378,17 @@ func (c *Client) doTraced(ctx context.Context, msgType uint8, body []byte, tc te
 }
 
 // roundTrip performs one round trip on a broker's link to a cache server
-// or peer broker. A failed dial is reported at once; a connection that
-// breaks under the request is torn down and the request retried once on
-// a fresh dial, so a server restarted since the last request is never
-// reported unreachable. Only idempotent ops go this way — puts merge by
-// sequence number, sync writes apply idempotently, pulls and probes are
-// reads; API requests are never resent. A retired (closed) link reports
-// ErrStaleEpoch: the operation acted under a membership table the broker
-// has since replaced.
-func (c *Client) roundTrip(ctx context.Context, msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
+// or peer broker, bounded by the link's callTimeout. A failed dial is
+// reported at once; a connection that breaks under the request is torn
+// down and the request retried once on a fresh dial, so a server
+// restarted since the last request is never reported unreachable. Only
+// idempotent ops go this way — puts merge by sequence number, sync writes
+// apply idempotently, pulls and probes are reads; API requests are never
+// resent. A retired (closed) link reports ErrStaleEpoch: the operation
+// acted under a membership table the broker has since replaced.
+func (c *Client) roundTrip(msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), c.callTimeout)
+	defer cancel()
 	m := c.pick()
 	var respType uint8
 	var respBody []byte
@@ -295,17 +411,10 @@ func (c *Client) roundTrip(ctx context.Context, msgType uint8, body []byte, tc t
 // instead of blocking it forever.
 const serverCallTimeout = 5 * time.Second
 
-// serverCall is roundTrip under serverCallTimeout.
-func (c *Client) serverCall(msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), serverCallTimeout)
-	defer cancel()
-	return c.roundTrip(ctx, msgType, body, tc)
-}
-
 // getView fetches a view from a cache server; ok is false on a cache
 // miss. A sampled tc makes the cache server's span join the trace.
 func (c *Client) getView(user uint32, tc telemetry.TraceContext) (View, bool, error) {
-	respType, respBody, err := c.serverCall(opGetView, binary.LittleEndian.AppendUint32(nil, user), tc)
+	respType, respBody, err := c.roundTrip(opGetView, binary.LittleEndian.AppendUint32(nil, user), tc)
 	if err != nil {
 		return View{}, false, err
 	}
@@ -330,18 +439,18 @@ func (c *Client) putView(user uint32, v View, epoch, placement uint64, limit int
 	body := binary.LittleEndian.AppendUint32(nil, user)
 	body = encodeView(body, v)
 	body = appendPutMeta(body, epoch, placement, limit)
-	return expectOK(c.serverCall(opPutView, body, tc))
+	return expectOK(c.roundTrip(opPutView, body, tc))
 }
 
 // pushEpoch teaches a cache server the broker's current membership epoch,
 // so direct reads fence correctly on servers that receive no puts.
 func (c *Client) pushEpoch(epoch uint64) error {
-	return expectOK(c.serverCall(opEpochPush, binary.LittleEndian.AppendUint64(nil, epoch), telemetry.TraceContext{}))
+	return expectOK(c.roundTrip(opEpochPush, binary.LittleEndian.AppendUint64(nil, epoch), telemetry.TraceContext{}))
 }
 
 // deleteView removes a replica from a cache server.
 func (c *Client) deleteView(user uint32) error {
-	return expectOK(c.serverCall(opDeleteView, binary.LittleEndian.AppendUint32(nil, user), telemetry.TraceContext{}))
+	return expectOK(c.roundTrip(opDeleteView, binary.LittleEndian.AppendUint32(nil, user), telemetry.TraceContext{}))
 }
 
 // expectOK maps a round trip's outcome to nil for respOK and to an error
@@ -518,22 +627,7 @@ func (c *Client) Epoch() uint64 { return c.epoch.Load() }
 // Membership fetches the broker's current membership view and per-slot
 // replica counts.
 func (c *Client) Membership(ctx context.Context) (MembershipInfo, error) {
-	respType, body, err := c.do(ctx, opMembershipGet, nil)
-	if err != nil {
-		return MembershipInfo{}, err
-	}
-	switch respType {
-	case respMembership:
-		info, err := decodeMembershipInfo(body)
-		if err == nil {
-			c.noteEpoch(info.View.Epoch)
-		}
-		return info, err
-	case respError:
-		return MembershipInfo{}, asRemoteError(body)
-	default:
-		return MembershipInfo{}, ErrBadFrame
-	}
+	return c.adminOp(ctx, opMembershipGet, nil)
 }
 
 // AddServer asks the cluster to admit a new cache server (leader-forwarded
@@ -552,6 +646,8 @@ func (c *Client) RemoveServer(ctx context.Context, addr string) (MembershipInfo,
 	return c.adminOp(ctx, opServerRemove, []byte(addr))
 }
 
+// adminOp runs one request answered with the membership view: a fetch or
+// a membership change.
 func (c *Client) adminOp(ctx context.Context, op uint8, body []byte) (MembershipInfo, error) {
 	respType, respBody, err := c.do(ctx, op, body)
 	if err != nil {
@@ -587,11 +683,14 @@ func (c *Client) Stats(ctx context.Context) (BrokerStats, error) {
 	}
 }
 
-// Close closes every pooled connection; pending requests fail.
+// Close closes every pooled connection; pending requests fail, those
+// awaiting a dial included. It never waits for a dial: a connection a
+// pending dial yields later is closed as it arrives.
 func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
+	close(c.done)
 	for _, m := range c.conns {
 		m.close()
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
@@ -64,24 +63,10 @@ const (
 type peerState struct {
 	idx     int
 	info    PeerInfo
-	conn    *Client
-	timeout time.Duration // peerTimeout: the bound on every round trip
+	conn    *Client // a link bounded by peerTimeout
 	alive   atomic.Bool
 	misses  atomic.Int32
 	probing atomic.Bool
-}
-
-// roundTrip sends one untraced request to the peer.
-func (p *peerState) roundTrip(msgType uint8, body []byte) (uint8, []byte, error) {
-	return p.roundTripTraced(msgType, body, telemetry.TraceContext{})
-}
-
-// roundTripTraced sends one request carrying tc to the peer, dial and
-// hello included within the peer timeout.
-func (p *peerState) roundTripTraced(msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
-	defer cancel()
-	return p.conn.roundTrip(ctx, msgType, body, tc)
 }
 
 // IsLeader reports whether this broker currently runs the placement
@@ -197,7 +182,7 @@ func (b *Broker) syncOnce() {
 // connection was down. Stale and malformed views are ignored by the
 // installer.
 func (b *Broker) pullMembership(leader *peerState) {
-	respType, body, err := leader.roundTrip(opMembershipGet, nil)
+	respType, body, err := leader.conn.roundTrip(opMembershipGet, nil, telemetry.TraceContext{})
 	if err != nil || respType != respMembership {
 		return
 	}
@@ -241,7 +226,7 @@ func (b *Broker) pushReport(leader *peerState) {
 	clear(b.repReads)
 	clear(b.repWrites)
 	b.reportMu.Unlock()
-	_, _, _ = leader.roundTrip(opAccessReport, encodeAccessReport(uint32(b.selfIdx), reads, writes))
+	_, _, _ = leader.conn.roundTrip(opAccessReport, encodeAccessReport(uint32(b.selfIdx), reads, writes), telemetry.TraceContext{})
 }
 
 // applyAccessReport folds a follower's interval aggregates into this
@@ -300,7 +285,7 @@ func (b *Broker) applyAccessReport(sender int, reads []reportRead, writes []repo
 // the periodic anti-entropy pass that repairs pushes lost while a
 // connection or broker was down.
 func (b *Broker) pullPlacement(leader *peerState) {
-	respType, body, err := leader.roundTrip(opPlacementPull, nil)
+	respType, body, err := leader.conn.roundTrip(opPlacementPull, nil, telemetry.TraceContext{})
 	if err != nil || respType != respPlacement {
 		return
 	}
@@ -437,7 +422,7 @@ func (b *Broker) broadcastPlacement(users ...uint32) {
 		chunk := entries[start:min(start+batchEntriesPerFrame, len(entries))]
 		body := encodePlacementTable(chunk)
 		b.broadcast(false, func(p *peerState) {
-			_, _, _ = p.roundTrip(opPlacementBatch, body)
+			_, _, _ = p.conn.roundTrip(opPlacementBatch, body, telemetry.TraceContext{})
 		})
 	}
 }
@@ -453,7 +438,7 @@ func (b *Broker) broadcastPlacement(users ...uint32) {
 func (b *Broker) broadcastSyncWrite(user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext) {
 	body := encodeSyncWrite(user, seq, at, payload)
 	b.broadcast(true, func(p *peerState) {
-		_, _, _ = p.roundTripTraced(opSyncWrite, body, tc)
+		_, _, _ = p.conn.roundTrip(opSyncWrite, body, tc)
 	})
 }
 
@@ -463,7 +448,7 @@ func (b *Broker) broadcastSyncWrite(user uint32, seq uint64, at int64, payload [
 // an answer marks the peer alive, and catchUpFrom then pulls whatever this
 // broker lacks.
 func (b *Broker) probe(p *peerState) {
-	respType, body, err := p.roundTrip(opLogCursors, nil)
+	respType, body, err := p.conn.roundTrip(opLogCursors, nil, telemetry.TraceContext{})
 	var theirs map[uint64]uint64
 	if err == nil && respType == respLogCursors {
 		theirs, err = decodeLogCursors(body)
@@ -496,7 +481,7 @@ func (b *Broker) catchUpFrom(p *peerState, theirs map[uint64]uint64) {
 	for origin, peerMark := range theirs {
 		from := mine[origin]
 		for round := 0; from < peerMark && round < maxPullRounds; round++ {
-			respType, body, err := p.roundTrip(opLogPull, encodeLogPull(origin, from, maxPullRecords))
+			respType, body, err := p.conn.roundTrip(opLogPull, encodeLogPull(origin, from, maxPullRecords), telemetry.TraceContext{})
 			if err != nil || respType != respLogRecords {
 				return
 			}

@@ -545,7 +545,7 @@ func TestReadRepairReinstallsRestartedReplica(t *testing.T) {
 	}
 	// The repaired copy is really on the restarted server, current and
 	// complete.
-	conn := newClient(addr, serverPoolSize, telemetry.Default())
+	conn := newLink(addr, serverCallTimeout, telemetry.Default())
 	defer conn.Close()
 	rv, ok, err := conn.getView(hot, telemetry.TraceContext{})
 	if err != nil || !ok {

@@ -31,9 +31,15 @@ func NewClient(baseURL, token string) *Client {
 	return &Client{
 		base:  strings.TrimRight(baseURL, "/"),
 		token: token,
-		hc:    &http.Client{Timeout: 30 * time.Second},
+		hc:    &http.Client{},
 	}
 }
+
+// callTimeout bounds a call whose context carries no deadline. It rides
+// the context, not http.Client.Timeout: the latter makes net/http arm a
+// timer and a cancel context of its own on every request, deadline or
+// not.
+const callTimeout = 30 * time.Second
 
 // maxAnswer bounds the body of any gateway answer the client reads. The
 // largest legitimate one is a /v1/feed answer at the gateway's read cap;
@@ -44,6 +50,11 @@ const maxAnswer = 64 << 20
 // allocation. Non-2xx answers become errors quoting the gateway's error
 // envelope and request ID.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, callTimeout)
+		defer cancel()
+	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)

@@ -131,7 +131,7 @@ func runCodecPair(pass *Pass) error {
 
 // codecTokens extracts a function body's wire-format fingerprint: one
 // token per fixed-width binary read/write (W16/W32/W64) and one
-// CALL(Entity) token per sub-codec invocation. Same-package non-codec
+// CALL(Entity) token per invocation of a sub-codec of this module. Same-package non-codec
 // helpers (a readCount, a putHeader) are inlined one level so a
 // refactor that extracts a helper does not break the fingerprint.
 func codecTokens(pass *Pass, fd *ast.FuncDecl, bodies map[string]*ast.FuncDecl, inline bool) []string {
@@ -159,7 +159,7 @@ func codecTokens(pass *Pass, fd *ast.FuncDecl, bodies map[string]*ast.FuncDecl, 
 		if callee == nil {
 			return true
 		}
-		if _, entity, isCodec := codecRole(callee.Name()); isCodec && entity != "" {
+		if _, entity, isCodec := codecRole(callee.Name()); isCodec && entity != "" && sameModule(callee.Pkg(), pass.Pkg) {
 			toks = append(toks, "CALL("+entity+")")
 			return false // the sub-codec's own tokens belong to its pair
 		}
@@ -171,6 +171,20 @@ func codecTokens(pass *Pass, fd *ast.FuncDecl, bodies map[string]*ast.FuncDecl, 
 		return true
 	})
 	return toks
+}
+
+// sameModule reports whether package a belongs to the module of package
+// b, judged by the first element of their import paths ("dynasore" for
+// dynasore/internal/cluster). Only such callees can be sub-codecs: a
+// standard-library strconv.AppendUint or base64 AppendEncode is a
+// codec's building block, not a wire entity with a pair of its own.
+func sameModule(a, b *types.Package) bool {
+	if a == nil || b == nil {
+		return false
+	}
+	ra, _, _ := strings.Cut(a.Path(), "/")
+	rb, _, _ := strings.Cut(b.Path(), "/")
+	return ra == rb
 }
 
 // sameMultiset reports whether two token slices contain the same tokens

@@ -3,7 +3,13 @@
 // guards on fixed-offset decoders.
 package codecpair
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
+	"errors"
+	"strconv"
+)
 
 // headerLen is the fixed frame header: seq(8).
 const headerLen = 8
@@ -85,4 +91,26 @@ func decodeFrame(b []byte) (seq uint64, kind uint32, ok bool) {
 	seq = binary.BigEndian.Uint64(b[0:8])
 	kind = binary.BigEndian.Uint32(b[8:12]) // want "only len ≥ 8 is guaranteed"
 	return seq, kind, true
+}
+
+// appendLabel and decodeLabel are a text codec, symmetric through the
+// standard library: strconv and base64 appenders are building blocks,
+// not sub-codecs, so neither side has any token to mismatch.
+func appendLabel(b []byte, id uint64, name []byte) []byte {
+	b = strconv.AppendUint(b, id, 10)
+	b = append(b, ':')
+	return base64.StdEncoding.AppendEncode(b, name)
+}
+
+func decodeLabel(b []byte) (uint64, []byte, error) {
+	i := bytes.IndexByte(b, ':')
+	if i < 0 {
+		return 0, nil, errors.New("label without separator")
+	}
+	id, err := strconv.ParseUint(string(b[:i]), 10, 64)
+	if err != nil {
+		return 0, nil, err
+	}
+	name, err := base64.StdEncoding.AppendDecode(nil, b[i+1:])
+	return id, name, err
 }

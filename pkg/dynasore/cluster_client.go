@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,10 +12,6 @@ import (
 	"dynasore/internal/cluster"
 	"dynasore/internal/membership"
 )
-
-// endpointCooldown is how long a broker endpoint is tried last after a
-// connection-level failure.
-const endpointCooldown = time.Second
 
 // DialOption customizes Dial and DialCluster.
 type DialOption func(*dialConfig)
@@ -45,9 +42,13 @@ func WithDirectReads(maxLeases int) DialOption {
 // sequencing each user's events), and fails over to the next broker when
 // one dies. Use Dial for one broker, DialCluster for several.
 type ClusterClient struct {
-	endpoints []*endpoint
-	next      atomic.Uint64
-	closed    atomic.Bool
+	// brokers holds one lazily redialed link per broker address in
+	// addrs. A link that is mid-dial or recently failed reports itself
+	// Busy, and requests try it after the others.
+	brokers []*cluster.Client
+	addrs   []string
+	next    atomic.Uint64
+	closed  atomic.Bool
 
 	// Elastic-membership tracking: the highest epoch seen in any broker
 	// response, the cached membership snapshot refreshed when the epoch
@@ -72,24 +73,6 @@ var (
 	_ Store = (*ClusterClient)(nil)
 	_ Admin = (*ClusterClient)(nil)
 )
-
-// endpoint is one broker address with its lazily dialed client and a
-// cooldown after connection failures. The mutex is never held across a
-// dial: a slow or blackholed broker must not block the requests that
-// round-robin onto this endpoint — they try the other brokers first.
-type endpoint struct {
-	addr string
-
-	mu        sync.Mutex
-	c         *cluster.Client
-	dialing   chan struct{} // non-nil while a dial is in flight; closed when it ends
-	closed    bool
-	downUntil time.Time
-}
-
-// errBusy marks an endpoint that is cooling down or mid-dial: the request
-// tries the other brokers first and comes back to it last.
-var errBusy = errors.New("busy")
 
 // Dial connects to one broker (as started by ListenBroker, Open, or the
 // dynasore-node command) and performs the protocol hello. It is
@@ -116,19 +99,19 @@ func DialCluster(ctx context.Context, addrs []string, opts ...DialOption) (*Clus
 		c.direct = cluster.NewDirectReader(cfg.directLeases)
 		c.leasePending = make(map[uint32]struct{})
 	}
-	for _, addr := range addrs {
-		c.endpoints = append(c.endpoints, &endpoint{addr: addr})
-	}
 	// Eager dials run concurrently: one blackholed broker must not delay
-	// connecting to the reachable ones.
-	errs := make([]error, len(c.endpoints))
+	// connecting to the reachable ones. A broker that fails here keeps its
+	// link, which has the failure on record and redials later.
+	c.brokers = make([]*cluster.Client, len(addrs))
+	c.addrs = slices.Clone(addrs)
+	errs := make([]error, len(addrs))
 	var wg sync.WaitGroup
-	for i, ep := range c.endpoints {
+	for i, addr := range addrs {
 		wg.Add(1)
-		go func(i int, ep *endpoint) {
+		go func(i int, addr string) {
 			defer wg.Done()
-			_, errs[i] = ep.client(ctx, false)
-		}(i, ep)
+			c.brokers[i], errs[i] = cluster.NewClient(ctx, addr, cluster.DefaultPoolSize)
+		}(i, addr)
 	}
 	wg.Wait()
 	var firstErr error
@@ -141,91 +124,10 @@ func DialCluster(ctx context.Context, addrs []string, opts ...DialOption) (*Clus
 		}
 	}
 	if !ok {
+		c.Close()
 		return nil, fmt.Errorf("dynasore: no broker reachable: %w", firstErr)
 	}
 	return c, nil
-}
-
-// client returns the endpoint's connection, dialing it if needed. A broker
-// in cooldown after a recent failure, or with a dial already in flight, is
-// reported errBusy without blocking — callers try the other brokers
-// first. last marks the caller's final option: the cooldown is ignored and
-// an in-flight dial is awaited, since there is nothing left to fail over to.
-func (e *endpoint) client(ctx context.Context, last bool) (*cluster.Client, error) {
-	e.mu.Lock()
-	if wait := e.dialing; wait != nil && last {
-		e.mu.Unlock()
-		select {
-		case <-wait:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		e.mu.Lock()
-	}
-	if e.c != nil {
-		c := e.c
-		e.mu.Unlock()
-		return c, nil
-	}
-	if e.dialing != nil {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("dynasore: broker %s dial in progress: %w", e.addr, errBusy)
-	}
-	if !last && time.Now().Before(e.downUntil) {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("dynasore: broker %s cooling down after failure: %w", e.addr, errBusy)
-	}
-	e.dialing = make(chan struct{})
-	e.mu.Unlock()
-
-	c, err := cluster.Dial(ctx, e.addr, cluster.DefaultPoolSize)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	close(e.dialing)
-	e.dialing = nil
-	if err != nil {
-		e.downUntil = time.Now().Add(endpointCooldown)
-		return nil, err
-	}
-	if e.closed {
-		// The cluster client was closed while this dial was in flight.
-		c.Close()
-		return nil, errors.New("dynasore: cluster client is closed")
-	}
-	e.c = c
-	return c, nil
-}
-
-// fail drops the endpoint's connection cl after a transport error and
-// starts its cooldown. A failure reported on a connection the endpoint has
-// already replaced is ignored, so a late error cannot tear down a fresh
-// redial.
-func (e *endpoint) fail(cl *cluster.Client) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.c != cl {
-		return
-	}
-	e.c.Close()
-	e.c = nil
-	e.downUntil = time.Now().Add(endpointCooldown)
-}
-
-// call runs op on the endpoint's connection. It reports whether the
-// request is settled — err is then the caller's answer — or should move on
-// to the next broker, in which case err says why.
-func (e *endpoint) call(ctx context.Context, last bool, op func(*cluster.Client) error) (settled bool, err error) {
-	cl, err := e.client(ctx, last)
-	if err != nil {
-		return false, err
-	}
-	err = op(cl)
-	if err == nil || !failover(err) || ctx.Err() != nil {
-		return true, err
-	}
-	e.fail(cl)
-	return false, err
 }
 
 // failover reports whether an error means "try the next broker": transport
@@ -235,34 +137,36 @@ func failover(err error) bool {
 	return err != nil && !errors.Is(err, cluster.ErrRemote)
 }
 
-// try runs op against the brokers in failover order from start. Brokers
-// cooling down after a failure or with a dial in flight go last, and are
-// dialed (or awaited) even so: a cooldown reorders brokers but never turns
-// a request away.
+// try runs op against the brokers in failover order from start. Busy
+// brokers — mid-dial, or failed less than a cooldown ago — go last, and
+// are called even so: a cooldown reorders brokers but never turns a
+// request away.
 func (c *ClusterClient) try(ctx context.Context, start int, op func(*cluster.Client) error) error {
 	if c.closed.Load() {
 		return errors.New("dynasore: cluster client is closed")
 	}
 	var lastErr error
-	var later []*endpoint
-	n := len(c.endpoints)
-	for i := 0; i < n; i++ {
-		ep := c.endpoints[(start+i)%n]
-		settled, err := ep.call(ctx, false, op)
-		if settled {
-			return err
-		}
-		if errors.Is(err, errBusy) {
-			later = append(later, ep)
-		}
-		lastErr = err
+	var later []*cluster.Client
+	// call reports whether op's answer from cl settles the request —
+	// success, an application error relayed by a live broker, or a done
+	// ctx — rather than sending it on to the next broker.
+	call := func(cl *cluster.Client) bool {
+		lastErr = op(cl)
+		return lastErr == nil || !failover(lastErr) || ctx.Err() != nil
 	}
-	for _, ep := range later {
-		settled, err := ep.call(ctx, true, op)
-		if settled {
-			return err
+	n := len(c.brokers)
+	for i := 0; i < n; i++ {
+		cl := c.brokers[(start+i)%n]
+		if cl.Busy() {
+			later = append(later, cl)
+		} else if call(cl) {
+			return lastErr
 		}
-		lastErr = err
+	}
+	for _, cl := range later {
+		if call(cl) {
+			return lastErr
+		}
 	}
 	return fmt.Errorf("dynasore: all %d brokers failed: %w", n, lastErr)
 }
@@ -270,7 +174,7 @@ func (c *ClusterClient) try(ctx context.Context, start int, op func(*cluster.Cli
 // readChunk fetches one batch of views through any available broker.
 func (c *ClusterClient) readChunk(ctx context.Context, targets []uint32) ([]cluster.View, error) {
 	var out []cluster.View
-	start := int(c.next.Add(1)) % len(c.endpoints)
+	start := int(c.next.Add(1)) % len(c.brokers)
 	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		views, err := cl.Read(ctx, targets)
 		if err != nil {
@@ -368,7 +272,7 @@ func (c *ClusterClient) leaseAsync(users []uint32) {
 		defer done()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		start := int(c.next.Add(1)) % len(c.endpoints)
+		start := int(c.next.Add(1)) % len(c.brokers)
 		// Failure is harmless: reads keep working through the broker, and
 		// the next miss re-arms the request.
 		_ = c.try(ctx, start, func(cl *cluster.Client) error {
@@ -403,22 +307,9 @@ func (c *ClusterClient) Epoch() uint64 { return c.epoch.Load() }
 // Membership fetches the current cache-server set through any reachable
 // broker and updates the cached snapshot.
 func (c *ClusterClient) Membership(ctx context.Context) (Membership, error) {
-	var out Membership
-	start := int(c.next.Add(1)) % len(c.endpoints)
-	err := c.try(ctx, start, func(cl *cluster.Client) error {
-		info, err := cl.Membership(ctx)
-		if err != nil {
-			return err
-		}
-		out = fromClusterMembership(info)
-		return nil
+	return c.adminOp(ctx, func(cl *cluster.Client) (cluster.MembershipInfo, error) {
+		return cl.Membership(ctx)
 	})
-	if err == nil {
-		if cur := c.memb.Load(); cur == nil || out.Epoch > cur.Epoch {
-			c.memb.Store(&out)
-		}
-	}
-	return out, err
 }
 
 // AddServer admits a new cache server into the cluster through any
@@ -448,7 +339,7 @@ func (c *ClusterClient) RemoveServer(ctx context.Context, addr string) (Membersh
 
 func (c *ClusterClient) adminOp(ctx context.Context, op func(*cluster.Client) (cluster.MembershipInfo, error)) (Membership, error) {
 	var out Membership
-	start := int(c.next.Add(1)) % len(c.endpoints)
+	start := int(c.next.Add(1)) % len(c.brokers)
 	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		info, err := op(cl)
 		if err != nil {
@@ -536,7 +427,7 @@ func (c *ClusterClient) brokerRead(ctx context.Context, targets []uint32) ([]clu
 // fails over to the next broker.
 func (c *ClusterClient) Write(ctx context.Context, user uint32, payload []byte) (uint64, error) {
 	var seq uint64
-	start := int(user*2654435761>>16) % len(c.endpoints)
+	start := int(user*2654435761>>16) % len(c.brokers)
 	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		var err error
 		seq, err = cl.Write(ctx, user, payload)
@@ -560,42 +451,39 @@ type BrokerStats struct {
 }
 
 // StatsPerBroker fetches each reachable broker's counters once, in
-// endpoint order, and returns them both summed — exactly what Stats
+// address order, and returns them both summed — exactly what Stats
 // reports — and attributed to the broker that reported them, so the
 // cluster totals and the per-broker breakdown describe the same moment.
-// Brokers cooling down after a failure are asked only if no other broker
-// answers; unreachable brokers are skipped, and it fails only when no
-// broker responds.
+// Busy brokers — mid-dial, or cooling down after a failure — are asked
+// only if no other broker answers; unreachable brokers are skipped, and
+// it fails only when no broker responds.
 func (c *ClusterClient) StatsPerBroker(ctx context.Context) (Stats, []BrokerStats, error) {
 	if c.closed.Load() {
 		return Stats{}, nil, errors.New("dynasore: cluster client is closed")
 	}
 	var per []BrokerStats
 	var lastErr error
-	var later []*endpoint
-	fetch := func(ep *endpoint, last bool) {
-		_, err := ep.call(ctx, last, func(cl *cluster.Client) error {
-			st, err := cl.Stats(ctx)
-			if err == nil {
-				per = append(per, BrokerStats{Addr: ep.addr, Stats: fromClusterStats(st)})
-			}
-			return err
-		})
-		if errors.Is(err, errBusy) && !last {
-			later = append(later, ep)
-		}
+	var later []int
+	fetch := func(i int) {
+		st, err := c.brokers[i].Stats(ctx)
 		if err != nil {
 			lastErr = err
+			return
 		}
+		per = append(per, BrokerStats{Addr: c.addrs[i], Stats: fromClusterStats(st)})
 	}
-	for _, ep := range c.endpoints {
-		fetch(ep, false)
+	for i, cl := range c.brokers {
+		if cl.Busy() {
+			later = append(later, i)
+			continue
+		}
+		fetch(i)
 	}
-	for _, ep := range later {
+	for _, i := range later {
 		if len(per) > 0 {
 			break
 		}
-		fetch(ep, true)
+		fetch(i)
 	}
 	if len(per) == 0 {
 		return Stats{}, nil, fmt.Errorf("dynasore: no broker answered stats: %w", lastErr)
@@ -642,14 +530,8 @@ func (c *ClusterClient) Close() error {
 	// is acquired, no further refresh can be registered.
 	c.refreshMu.Lock()
 	c.refreshMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
-	for _, ep := range c.endpoints {
-		ep.mu.Lock()
-		ep.closed = true
-		if ep.c != nil {
-			ep.c.Close()
-			ep.c = nil
-		}
-		ep.mu.Unlock()
+	for _, cl := range c.brokers {
+		cl.Close()
 	}
 	c.refreshes.Wait()
 	if c.direct != nil {

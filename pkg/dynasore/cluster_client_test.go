@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -208,6 +209,78 @@ func TestDialClusterRequiresReachableBroker(t *testing.T) {
 	}
 	if _, err := DialCluster(ctx, nil); err == nil {
 		t.Error("DialCluster with no addresses succeeded")
+	}
+}
+
+// TestDialClusterSkipsHungBroker pins that a broker which accepts and
+// never answers costs one bounded eager dial, not a stalled client:
+// DialCluster returns with the live broker alone, and the reads and
+// writes that follow — those whose turn or write affinity falls on the
+// hung broker included — complete through the live one. It takes about
+// one dial timeout.
+func TestDialClusterSkipsHungBroker(t *testing.T) {
+	t.Parallel()
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		hung.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	s, err := ListenCacheServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	b, err := ListenBroker(BrokerConfig{
+		Addr:             "127.0.0.1:0",
+		CacheServerAddrs: []string{s.Addr()},
+		DataDir:          t.TempDir(),
+		Preferred:        -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+
+	ctx := context.Background()
+	c, err := DialCluster(ctx, []string{b.Addr(), hung.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 20; i++ {
+		u := uint32(i / 2)
+		start := time.Now()
+		if i%2 == 0 {
+			_, err = c.Write(ctx, u, []byte("post"))
+		} else {
+			_, err = c.Read(ctx, []uint32{u})
+		}
+		if err != nil {
+			t.Fatalf("op %d (user %d): %v", i, u, err)
+		}
+		if took := time.Since(start); took >= time.Second {
+			t.Fatalf("op %d (user %d) took %v with one broker hung, want under 1s", i, u, took)
+		}
 	}
 }
 
