@@ -298,6 +298,17 @@ func delayPipe(src, dst net.Conn) {
 	}
 }
 
+// remoteLayout places n cache servers each in its own rack of a zone away
+// from the broker's, so the policy finds no replication target and every
+// read stays on its home server.
+func remoteLayout(n int) *dynasore.Placement {
+	p := &dynasore.Placement{}
+	for i := 0; i < n; i++ {
+		p.Servers = append(p.Servers, dynasore.Position{Zone: 1, Rack: i + 1})
+	}
+	return p
+}
+
 // benchClientCluster starts an in-process cluster (3 cache servers, one
 // broker) and seeds 100 single-event views.
 func benchClientCluster(b *testing.B) *dynasore.Engine {
@@ -305,7 +316,7 @@ func benchClientCluster(b *testing.B) *dynasore.Engine {
 	e, err := dynasore.Open(dynasore.EngineConfig{
 		CacheServers: 3,
 		DataDir:      b.TempDir(),
-		Preferred:    -1,
+		Placement:    remoteLayout(3),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -400,7 +411,7 @@ func benchProxiedCluster(b *testing.B) string {
 		Addr:             "127.0.0.1:0",
 		CacheServerAddrs: serverAddrs,
 		DataDir:          b.TempDir(),
-		Preferred:        -1,
+		Placement:        remoteLayout(len(serverAddrs)),
 	})
 	if err != nil {
 		b.Fatal(err)

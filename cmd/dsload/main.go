@@ -245,7 +245,7 @@ func run(o options, stdout, stderr io.Writer) error {
 		defer func() { _ = c.Close() }()
 		store = c
 	case selfhost:
-		e, err := dynasore.Open(dynasore.EngineConfig{CacheServers: 3, Preferred: 0})
+		e, err := dynasore.Open(dynasore.EngineConfig{CacheServers: 3})
 		if err != nil {
 			return err
 		}

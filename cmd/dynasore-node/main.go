@@ -9,9 +9,11 @@
 //
 //	dynasore-node -role server -addr 127.0.0.1:7001
 //	dynasore-node -role broker -addr 127.0.0.1:7000 \
-//	    -servers 127.0.0.1:7001,127.0.0.1:7002 -data /tmp/dynasore -preferred 0
+//	    -servers 127.0.0.1:7001,127.0.0.1:7002 -data /tmp/dynasore
 //
-// Explicit topology (zone:rack per node) instead of -preferred:
+// Without -server-pos the broker uses the default layout: the first cache
+// server shares the broker's rack and every other server sits in its own
+// rack of a remote zone. An explicit topology (zone:rack per node):
 //
 //	dynasore-node -role broker -addr 127.0.0.1:7000 \
 //	    -servers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
@@ -80,7 +82,6 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:7001", "listen address")
 		servers     = flag.String("servers", "", "comma-separated cache server addresses (broker)")
 		dataDir     = flag.String("data", "dynasore-data", "persistent store directory (broker)")
-		preferred   = flag.Int("preferred", -1, "index of the broker-local cache server (-1: none; ignored when -server-pos is set)")
 		brokerPos   = flag.String("broker-pos", "", "broker position as zone:rack (with -server-pos)")
 		serverPos   = flag.String("server-pos", "", "comma-separated zone:rack position per cache server")
 		viewCap     = flag.Int("viewcap", 64, "events kept per view")
@@ -102,7 +103,7 @@ func main() {
 	flag.Parse()
 	if err := run(config{
 		role: *role, addr: *addr, servers: *servers, dataDir: *dataDir,
-		preferred: *preferred, brokerPos: *brokerPos, serverPos: *serverPos,
+		brokerPos: *brokerPos, serverPos: *serverPos,
 		viewCap: *viewCap, policyEvery: *policyEvery, capacity: *capacity,
 		peers: *peersFlag, peersPos: *peersPos, self: *self, syncEvery: *syncEvery,
 		checkpointEvery: *ckptEvery, compactAfter: *compact,
@@ -116,7 +117,6 @@ func main() {
 
 type config struct {
 	role, addr, servers, dataDir string
-	preferred                    int
 	brokerPos, serverPos         string
 	viewCap                      int
 	policyEvery                  time.Duration
@@ -238,7 +238,7 @@ func parsePosition(s string) (dynasore.Position, error) {
 }
 
 // parsePlacement builds the broker's cluster topology from the position
-// flags, or returns nil when none were given (the Preferred default
+// flags, or returns nil when none were given (the default layout
 // applies).
 func parsePlacement(brokerPos, serverPos string) (*dynasore.Placement, error) {
 	if serverPos == "" {
@@ -323,7 +323,6 @@ func run(c config) error {
 			CacheServerAddrs: addrs,
 			DataDir:          c.dataDir,
 			Placement:        placement,
-			Preferred:        c.preferred,
 			ViewCap:          c.viewCap,
 			PolicyEvery:      c.policyEvery,
 			ServerCapacity:   c.capacity,

@@ -30,7 +30,7 @@ func run() error {
 	}
 	defer os.RemoveAll(dataDir)
 
-	// Three cache servers and one broker whose "rack-local" server is #2.
+	// Three cache servers and one broker whose rack-local server is #2.
 	var servers []*dynasore.CacheServer
 	var addrs []string
 	for i := 0; i < 3; i++ {
@@ -108,18 +108,27 @@ func run() error {
 		}
 	}
 
-	// Hammer one hot view; the broker replicates it onto its local server.
+	// Hammer one hot view homed on a remote server; the broker replicates
+	// it onto its local server.
+	hot := uint32(1)
+	for broker.HomeOf(hot) == 2 {
+		hot++
+	}
 	for i := 0; i < 12; i++ {
-		if _, err := client.Read(ctx, []uint32{1}); err != nil {
+		if _, err := client.Read(ctx, []uint32{hot}); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("replicas of hot view 1: %d\n", broker.ReplicaCount(1))
+	replicas := broker.ReplicaCount(hot)
+	fmt.Printf("replicas of hot view %d: %d\n", hot, replicas)
+	if replicas < 2 {
+		return fmt.Errorf("hot view %d was not replicated (%d replica)", hot, replicas)
+	}
 
 	// Wipe a cache server (crash) — reads still succeed from the WAL.
 	fmt.Println("simulating cache server crash (wipe server 1)...")
 	servers[1].Close()
-	if _, err := client.Read(ctx, []uint32{1, 4, 7}); err != nil {
+	if _, err := client.Read(ctx, []uint32{hot, 4, 7}); err != nil {
 		fmt.Printf("reads after crash degraded: %v\n", err)
 	} else {
 		fmt.Println("reads after crash still served (replicas + persistent store)")

@@ -74,8 +74,11 @@ func runLive() error {
 	ctx := context.Background()
 	engine, err := dynasore.Open(dynasore.EngineConfig{
 		CacheServers: 3,
-		Preferred:    2,
-		PolicyEvery:  300 * time.Millisecond,
+		// Server 2 shares the broker's rack; servers 0 and 1 are remote.
+		Placement: &dynasore.Placement{
+			Servers: []dynasore.Position{{Zone: 1, Rack: 1}, {Zone: 1, Rack: 2}, {Zone: 0, Rack: 0}},
+		},
+		PolicyEvery: 300 * time.Millisecond,
 		// A few reads inside the window are enough to replicate in a demo.
 		Policy: dynasore.PolicyConfig{AdmissionEpsilon: 500},
 	})
@@ -84,25 +87,30 @@ func runLive() error {
 	}
 	defer engine.Close()
 
-	const celeb = uint32(1) // home server 1, so replication is visible
+	// A celebrity homed on a remote server, so replication onto the
+	// rack-local server is visible.
+	celeb := uint32(0)
+	for engine.HomeOf(celeb) == 2 {
+		celeb++
+	}
 	if _, err := engine.Write(ctx, celeb, []byte("going viral")); err != nil {
 		return err
 	}
 	fmt.Printf("\nlive flash crowd against broker %s:\n", engine.Addr())
 	fmt.Printf("replicas of view %d before the crowd: %d\n", celeb, engine.ReplicaCount(celeb))
 
-	// The crowd arrives: a burst of reads through the network client.
-	client, err := dynasore.Dial(ctx, engine.Addr())
-	if err != nil {
-		return err
-	}
-	defer client.Close()
+	// The crowd arrives: a burst of reads through the engine's network
+	// client.
 	for i := 0; i < 20; i++ {
-		if _, err := client.Read(ctx, []uint32{celeb}); err != nil {
+		if _, err := engine.Read(ctx, []uint32{celeb}); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("replicas during the flash: %d\n", engine.ReplicaCount(celeb))
+	during := engine.ReplicaCount(celeb)
+	fmt.Printf("replicas during the flash: %d\n", during)
+	if during < 2 {
+		return fmt.Errorf("view %d was not replicated during the flash (%d replica)", celeb, during)
+	}
 
 	// The crowd leaves; the maintenance pass evicts the abandoned replica.
 	deadline := time.Now().Add(5 * time.Second)

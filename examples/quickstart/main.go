@@ -1,9 +1,10 @@
 // Quickstart: the public pkg/dynasore API in ~60 lines. Open an in-process
-// DynaSoRe cluster (the Engine backend), publish and read feeds through the
-// paper's Read(u, L)/Write(u) interface (§3.1), then Dial the same broker
-// with the network client (a ClusterClient over one address) speaking the
-// cluster's multiplexed wire protocol — both backends behind the one Store
-// interface.
+// DynaSoRe deployment (an Engine: cache servers and a broker in this
+// process, served through an embedded network client), publish and read
+// feeds through the paper's Read(u, L)/Write(u) interface (§3.1), then
+// Dial the same broker with a second client, as a remote program would.
+// Both are the one ClusterClient behind the Store interface, speaking the
+// cluster's multiplexed wire protocol.
 //
 // For the paper's simulation experiments (traffic vs. static placements),
 // see cmd/dynasore-sim and examples/flashcrowd.
@@ -27,7 +28,7 @@ func run() error {
 	ctx := context.Background()
 
 	// An in-process cluster: three cache servers, one broker, WAL-backed
-	// persistent store in a temp dir.
+	// persistent store in a temp dir, and a client connected to the broker.
 	engine, err := dynasore.Open(dynasore.EngineConfig{CacheServers: 3})
 	if err != nil {
 		return err
@@ -50,11 +51,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("feed read through the in-process Engine:")
+	fmt.Println("feed read through the Engine's client:")
 	printFeed([]uint32{1, 2, 3}, views)
 
-	// The same cluster over TCP: requests carry IDs, so many of them
-	// multiplex concurrently over each pooled connection.
+	// A second client of the same cluster: requests carry IDs, so many of
+	// them multiplex concurrently over each pooled connection.
 	client, err := dynasore.Dial(ctx, engine.Addr())
 	if err != nil {
 		return err
@@ -64,7 +65,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("feed read through the v2 network Client (broker %s):\n", engine.Addr())
+	fmt.Printf("feed read through a second client of broker %s:\n", engine.Addr())
 	printFeed([]uint32{1, 2, 3}, views)
 
 	st, err := client.Stats(ctx)

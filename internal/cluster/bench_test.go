@@ -22,7 +22,7 @@ func benchClusterSetup(b *testing.B) testClient {
 		addrs = append(addrs, s.Addr())
 	}
 	br, err := NewBroker(BrokerConfig{
-		Addr: "127.0.0.1:0", ServerAddrs: addrs, DataDir: b.TempDir(), Preferred: -1,
+		Addr: "127.0.0.1:0", ServerAddrs: addrs, DataDir: b.TempDir(), Placement: rackLocal(-1, 3),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -82,14 +82,10 @@ type BrokerConfig struct {
 	// view's event count is a uint16 on the wire).
 	ViewCap int
 	// Placement positions the broker and every cache server in the
-	// datacenter tree. Nil derives a default layout from Preferred.
+	// datacenter tree. Nil means the default layout: server 0 shares the
+	// broker's rack and every other server sits in its own rack of a
+	// remote zone, so the policy concentrates hot views on server 0.
 	Placement *Placement
-	// Preferred is the index of the broker's "rack-local" cache server.
-	// When Placement is nil it seeds the default layout: that server
-	// shares the broker's rack and every other server sits in a remote
-	// zone, so the policy concentrates hot views locally. -1 means no
-	// local server (no replication targets); values below -1 are invalid.
-	Preferred int
 	// MaxReplicas bounds a view's replication degree (default 3).
 	MaxReplicas int
 	// PolicyEvery is the interval of the maintenance pass — utility
@@ -159,19 +155,14 @@ func (c BrokerConfig) withDefaults() BrokerConfig {
 	return c
 }
 
-// defaultPlacement derives a layout from the legacy Preferred knob: the
-// preferred server shares the broker's rack, every other server gets its own
-// rack in a remote zone. With no preferred server the broker's zone holds no
-// cache servers at all, so the policy never finds a replication target —
-// the topology-era spelling of "no preference".
-func defaultPlacement(preferred, servers int) *Placement {
-	p := &Placement{Broker: Position{Zone: 0, Rack: 0}}
-	for i := 0; i < servers; i++ {
-		if i == preferred {
-			p.Servers = append(p.Servers, Position{Zone: 0, Rack: 0})
-		} else {
-			p.Servers = append(p.Servers, Position{Zone: 1, Rack: i + 1})
-		}
+// defaultPlacement is the layout of a broker configured with no Placement:
+// server 0 shares the broker's rack, every other server gets its own rack
+// in a remote zone.
+func defaultPlacement(servers int) *Placement {
+	// The broker and server 0 keep the zero Position, rack 0 of zone 0.
+	p := &Placement{Servers: make([]Position, servers)}
+	for i := 1; i < servers; i++ {
+		p.Servers[i] = Position{Zone: 1, Rack: i + 1}
 	}
 	return p
 }
@@ -372,7 +363,6 @@ type repKey struct {
 // Errors returned by NewBroker and the membership Admin API.
 var (
 	ErrNoServers    = errors.New("cluster: broker needs at least one cache server")
-	ErrBadPreferred = errors.New("cluster: preferred server out of range")
 	ErrBadPlacement = errors.New("cluster: placement must cover every cache server")
 	ErrBadPeers     = errors.New("cluster: invalid peer configuration")
 	// ErrNotLeader rejects a membership mutation on a follower broker;
@@ -395,12 +385,9 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 	if len(cfg.ServerAddrs) == 0 {
 		return nil, ErrNoServers
 	}
-	if cfg.Preferred < -1 || cfg.Preferred >= len(cfg.ServerAddrs) {
-		return nil, fmt.Errorf("%w: %d (have %d servers)", ErrBadPreferred, cfg.Preferred, len(cfg.ServerAddrs))
-	}
 	placement := cfg.Placement
 	if placement == nil {
-		placement = defaultPlacement(cfg.Preferred, len(cfg.ServerAddrs))
+		placement = defaultPlacement(len(cfg.ServerAddrs))
 	}
 	if len(placement.Servers) != len(cfg.ServerAddrs) {
 		return nil, fmt.Errorf("%w: %d positions for %d servers", ErrBadPlacement, len(placement.Servers), len(cfg.ServerAddrs))

@@ -55,6 +55,22 @@ func (c testClient) Stats() (BrokerStats, error) {
 	return c.Client.Stats(context.Background())
 }
 
+// rackLocal lays out a broker and n cache servers: server local shares the
+// broker's rack, and every other server i sits in rack i+1 of a remote
+// zone. A local of -1 leaves the broker's zone empty, so the policy finds
+// no replication target.
+func rackLocal(local, n int) *Placement {
+	p := &Placement{}
+	for i := 0; i < n; i++ {
+		if i == local {
+			p.Servers = append(p.Servers, Position{Zone: 0, Rack: 0})
+		} else {
+			p.Servers = append(p.Servers, Position{Zone: 1, Rack: i + 1})
+		}
+	}
+	return p
+}
+
 // testCluster spins up n cache servers and one broker on ephemeral ports.
 func testCluster(t *testing.T, n int, tweak func(*BrokerConfig)) (*Broker, []*Server, testClient) {
 	t.Helper()
@@ -73,7 +89,7 @@ func testCluster(t *testing.T, n int, tweak func(*BrokerConfig)) (*Broker, []*Se
 		Addr:        "127.0.0.1:0",
 		ServerAddrs: addrs,
 		DataDir:     t.TempDir(),
-		Preferred:   -1,
+		Placement:   rackLocal(-1, n),
 	}
 	if tweak != nil {
 		tweak(&cfg)
@@ -213,7 +229,7 @@ func TestBrokerRestartRecoversFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	cfg := BrokerConfig{Addr: "127.0.0.1:0", ServerAddrs: []string{s.Addr()}, DataDir: dir, Preferred: -1}
+	cfg := BrokerConfig{Addr: "127.0.0.1:0", ServerAddrs: []string{s.Addr()}, DataDir: dir, Placement: rackLocal(-1, 1)}
 	b, err := NewBroker(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +256,7 @@ func TestBrokerRestartRecoversFromWAL(t *testing.T) {
 
 func TestHotViewReplication(t *testing.T) {
 	b, servers, c := testCluster(t, 3, func(cfg *BrokerConfig) {
-		cfg.Preferred = 2
+		cfg.Placement = rackLocal(2, 3)
 		cfg.PolicyEvery = time.Hour // no maintenance pass during the test
 	})
 	// A user homed on server 0 (remote); hammer reads through the broker.
@@ -258,9 +274,9 @@ func TestHotViewReplication(t *testing.T) {
 	if got := b.ReplicaCount(hot); got < 2 {
 		t.Fatalf("hot view has %d replicas, want >= 2", got)
 	}
-	// The preferred server must now hold the view.
+	// The rack-local server must now hold the view.
 	if _, ok := servers[2].lookup(hot); !ok {
-		t.Error("preferred server does not hold the hot view")
+		t.Error("rack-local server does not hold the hot view")
 	}
 	st := b.Stats()
 	if st.Replicated == 0 {
@@ -273,7 +289,7 @@ func TestAbandonedReplicaEviction(t *testing.T) {
 	// copy serves no reads; as soon as writes charge it maintenance cost,
 	// the policy's maintenance pass removes it (negative utility, §3.2).
 	b, servers, c := testCluster(t, 2, func(cfg *BrokerConfig) {
-		cfg.Preferred = 1
+		cfg.Placement = rackLocal(1, 2)
 		cfg.PolicyEvery = 300 * time.Millisecond
 	})
 	flash := userHomedOn(t, b, 0)
@@ -322,7 +338,7 @@ func TestAbandonedReplicaEviction(t *testing.T) {
 
 func TestWritesRefreshAllReplicas(t *testing.T) {
 	b, servers, c := testCluster(t, 3, func(cfg *BrokerConfig) {
-		cfg.Preferred = 2
+		cfg.Placement = rackLocal(2, 3)
 		cfg.PolicyEvery = time.Hour
 		cfg.Policy.AdmissionEpsilon = 100 // replicate after the first read
 	})
@@ -411,7 +427,7 @@ func TestAdmissionSwapEvictsWeakestOnFullServer(t *testing.T) {
 	// view. A lukewarm view takes the slot first; a hotter view must then
 	// displace it (swap-on-admission eviction over the eviction floor).
 	b, servers, c := testCluster(t, 3, func(cfg *BrokerConfig) {
-		cfg.Preferred = 2
+		cfg.Placement = rackLocal(2, 3)
 		cfg.PolicyEvery = time.Hour // maintenance run by hand below
 		cfg.ServerCapacity = 1
 		cfg.Policy.AdmissionEpsilon = 100
@@ -456,21 +472,10 @@ func TestBrokerValidation(t *testing.T) {
 	if _, err := NewBroker(BrokerConfig{Addr: "127.0.0.1:0", DataDir: t.TempDir()}); err == nil {
 		t.Error("broker without servers accepted")
 	}
-	if _, err := NewBroker(BrokerConfig{
-		Addr: "127.0.0.1:0", ServerAddrs: []string{"127.0.0.1:1"}, DataDir: t.TempDir(), Preferred: 5,
-	}); err == nil {
-		t.Error("out-of-range preferred server accepted")
-	}
-	// -1 means "no preference"; anything below it is a config mistake.
-	if _, err := NewBroker(BrokerConfig{
-		Addr: "127.0.0.1:0", ServerAddrs: []string{"127.0.0.1:1"}, DataDir: t.TempDir(), Preferred: -2,
-	}); err == nil {
-		t.Error("preferred server below -1 accepted")
-	}
 	// An explicit placement must position every cache server.
 	if _, err := NewBroker(BrokerConfig{
 		Addr: "127.0.0.1:0", ServerAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"},
-		DataDir: t.TempDir(), Preferred: -1,
+		DataDir:   t.TempDir(),
 		Placement: &Placement{Servers: []Position{{Zone: 0, Rack: 0}}},
 	}); err == nil {
 		t.Error("placement covering 1 of 2 servers accepted")
@@ -484,7 +489,7 @@ func TestBrokerValidation(t *testing.T) {
 // replica, refilled from the WAL — never a stale version.
 func TestCrashRecoveryReplicationInterplay(t *testing.T) {
 	b, servers, c := testCluster(t, 2, func(cfg *BrokerConfig) {
-		cfg.Preferred = 1
+		cfg.Placement = rackLocal(1, 2)
 		cfg.PolicyEvery = time.Hour       // placement changes only via the read path
 		cfg.Policy.AdmissionEpsilon = 100 // replicate after the first read
 	})
@@ -600,6 +605,7 @@ func TestHungCacheServerBoundsWriteAndClose(t *testing.T) {
 
 	b, _, c := testCluster(t, 1, func(cfg *BrokerConfig) {
 		cfg.ServerAddrs = append(cfg.ServerAddrs, ln.Addr().String())
+		cfg.Placement = rackLocal(-1, 2)
 	})
 	user := userHomedOn(t, b, 1)
 	bound := serverCallTimeout + 3*time.Second

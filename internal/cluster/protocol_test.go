@@ -416,7 +416,7 @@ func TestV2ReadBeyond64KTargets(t *testing.T) {
 
 func TestConcurrentReadsDoNotDuplicateReplicas(t *testing.T) {
 	b, _, _ := testCluster(t, 3, func(cfg *BrokerConfig) {
-		cfg.Preferred = 2
+		cfg.Placement = rackLocal(2, 3)
 		cfg.MaxReplicas = 3
 		cfg.PolicyEvery = time.Hour
 		cfg.Policy.AdmissionEpsilon = 100
@@ -426,7 +426,7 @@ func TestConcurrentReadsDoNotDuplicateReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 32 concurrent reads of the same user race through policy evaluation
-	// and decision application; the preferred server must be appended at
+	// and decision application; the rack-local server must be appended at
 	// most once.
 	targets := make([]uint32, 32)
 	for i := range targets {
@@ -438,7 +438,7 @@ func TestConcurrentReadsDoNotDuplicateReplicas(t *testing.T) {
 		}
 	}
 	if got := b.ReplicaCount(hot); got != 2 {
-		t.Errorf("replicas = %d, want exactly 2 (home + preferred)", got)
+		t.Errorf("replicas = %d, want exactly 2 (home + rack-local)", got)
 	}
 }
 

@@ -145,7 +145,7 @@ func TestBrokerRestartFromCheckpoint(t *testing.T) {
 		Addr:            "127.0.0.1:0",
 		ServerAddrs:     []string{s.Addr()},
 		DataDir:         dataDir,
-		Preferred:       -1,
+		Placement:       rackLocal(-1, 1),
 		CheckpointEvery: time.Hour, // periodic pass idle; the parting checkpoint does the work
 		CompactAfter:    1,
 	}
@@ -458,7 +458,7 @@ func restartServer(t *testing.T, addr string) *Server {
 // failed nor dropped.
 func TestRestartedServerKeepsReplica(t *testing.T) {
 	b, servers, _ := testCluster(t, 2, func(cfg *BrokerConfig) {
-		cfg.Preferred = 1
+		cfg.Placement = rackLocal(1, 2)
 		cfg.PolicyEvery = time.Hour
 		cfg.Policy.AdmissionEpsilon = 100
 	})
@@ -499,7 +499,7 @@ func TestRestartedServerKeepsReplica(t *testing.T) {
 // a policy tick.
 func TestReadRepairReinstallsRestartedReplica(t *testing.T) {
 	b, servers, _ := testCluster(t, 3, func(cfg *BrokerConfig) {
-		cfg.Preferred = 2
+		cfg.Placement = rackLocal(2, 3)
 		cfg.MaxReplicas = 3
 		cfg.PolicyEvery = time.Hour
 		cfg.Policy.AdmissionEpsilon = 100
@@ -508,8 +508,8 @@ func TestReadRepairReinstallsRestartedReplica(t *testing.T) {
 	if _, err := b.Write(hot, []byte("hot post")); err != nil {
 		t.Fatal(err)
 	}
-	// Heat the user until the preferred (rack-local) server replicates it:
-	// replica set = {home 0, preferred 2}, and reads serve from 2.
+	// Heat the user until the rack-local server replicates it:
+	// replica set = {home 0, rack-local 2}, and reads serve from 2.
 	targets := make([]uint32, 32)
 	for i := range targets {
 		targets[i] = hot
@@ -520,7 +520,7 @@ func TestReadRepairReinstallsRestartedReplica(t *testing.T) {
 		}
 	}
 	if got := b.ReplicaCount(hot); got != 2 {
-		t.Fatalf("replicas = %d, want 2 (home + preferred)", got)
+		t.Fatalf("replicas = %d, want 2 (home + rack-local)", got)
 	}
 
 	// Kill the serving replica. The read must still succeed — served by

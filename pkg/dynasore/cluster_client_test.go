@@ -254,7 +254,7 @@ func TestDialClusterSkipsHungBroker(t *testing.T) {
 		Addr:             "127.0.0.1:0",
 		CacheServerAddrs: []string{s.Addr()},
 		DataDir:          t.TempDir(),
-		Preferred:        -1,
+		Placement:        &Placement{Servers: []Position{{Zone: 1, Rack: 1}}},
 	})
 	if err != nil {
 		t.Fatal(err)

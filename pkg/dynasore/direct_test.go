@@ -17,7 +17,7 @@ import (
 // broker path's.
 func TestDirectReadsBasic(t *testing.T) {
 	ctx := context.Background()
-	e := openEngine(t, dynasore.EngineConfig{CacheServers: 3, Preferred: 0})
+	e := openEngine(t, dynasore.EngineConfig{CacheServers: 3, Placement: rackLocal(0, 3)})
 	c, err := dynasore.DialCluster(ctx, []string{e.Addr()}, dynasore.WithDirectReads(0))
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +87,8 @@ func TestDirectReadsSurviveChurn(t *testing.T) {
 	ctx := context.Background()
 	e := openEngine(t, dynasore.EngineConfig{
 		CacheServers: 2,
-		Preferred:    -1,
+		Placement:    rackLocal(-1, 2),
 		PolicyEvery:  50 * time.Millisecond,
-		MaxReplicas:  3,
 	})
 	c, err := dynasore.DialCluster(ctx, []string{e.Addr()}, dynasore.WithDirectReads(0))
 	if err != nil {

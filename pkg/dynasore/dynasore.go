@@ -1,19 +1,18 @@
 // Package dynasore is the public client API of the DynaSoRe middleware: the
 // paper's tiny Read(u, L) / Write(u) interface (§3.1) behind one Store
-// facade with pluggable backends.
+// facade.
 //
-// Two backends implement Store:
+// ClusterClient is the one implementation of Store. It talks to brokers
+// over the cluster's one wire protocol: a versioned hello plus per-request
+// IDs let many requests multiplex concurrently over each pooled
+// connection, and a sampled request's trace context rides its frame. Dial
+// connects it to one broker; DialCluster to every broker of a multi-broker
+// cluster, where reads round-robin across brokers, each user's writes
+// stick to one broker, and requests fail over when a broker dies.
 //
-//   - Engine (see Open) runs a whole cluster — cache servers, a broker, and
-//     its WAL-backed persistent store — inside the calling process, for
-//     embedding and tests.
-//   - ClusterClient talks to remote brokers over the cluster's one wire
-//     protocol: a versioned hello plus per-request IDs let many requests
-//     multiplex concurrently over each pooled connection, and a sampled
-//     request's trace context rides its frame. Dial connects it to one
-//     broker; DialCluster to every broker of a multi-broker cluster, where
-//     reads round-robin across brokers, each user's writes stick to one
-//     broker, and requests fail over when a broker dies.
+// Engine (see Open) runs a whole deployment — cache servers, a broker, and
+// its WAL-backed persistent store — inside the calling process, for
+// embedding and tests, and serves it through an embedded ClusterClient.
 //
 // Server-side nodes for standalone deployments are started with
 // ListenCacheServer and ListenBroker; both speak the same protocol. A
@@ -65,9 +64,9 @@ type Stats struct {
 	// LeaseGrants counts direct-read leases the broker issued; DirectReads
 	// and DirectStale count the fast path's outcomes — views served
 	// client → cache server without the broker, and direct attempts that
-	// fenced or failed back to the broker path. For Engine the direct
-	// counters come from its cache servers; for ClusterClient they are the
-	// client's own.
+	// fenced or failed back to the broker path. The direct counters are
+	// the reporting client's own, zero unless it was dialed
+	// WithDirectReads.
 	LeaseGrants int64
 	DirectReads int64
 	DirectStale int64
@@ -76,7 +75,7 @@ type Stats struct {
 	Epoch uint64
 }
 
-// Store is the DynaSoRe API. Both backends are safe for concurrent use.
+// Store is the DynaSoRe API. Implementations are safe for concurrent use.
 type Store interface {
 	// Read fetches the views of every user in targets, in order: the
 	// paper's Read(u, L).
@@ -186,11 +185,11 @@ func fromClusterMembership(info cluster.MembershipInfo) Membership {
 
 // Admin is the elastic-membership control surface: inspect the
 // epoch-versioned cache-server registry and grow, drain, or shrink the
-// cluster while it serves traffic. All three Store backends implement it;
-// network backends may point at any broker — mutations are forwarded to
-// the leader transparently. The safe decommissioning sequence is
-// DrainServer, wait for the server's Replicas count to reach zero, then
-// RemoveServer.
+// cluster while it serves traffic. ClusterClient (and so Engine)
+// implements it; a client may point at any broker — mutations are
+// forwarded to the leader transparently. The safe decommissioning
+// sequence is DrainServer, wait for the server's Replicas count to reach
+// zero, then RemoveServer.
 type Admin interface {
 	// Membership returns the current epoch-versioned cache-server set.
 	Membership(ctx context.Context) (Membership, error)
@@ -209,19 +208,13 @@ type Admin interface {
 // Position places a node in the datacenter tree: a zone (intermediate
 // switch) and a rack within that zone. Nodes sharing a position hang off
 // the same rack switch.
-type Position struct {
-	Zone int
-	Rack int
-}
+type Position = cluster.Position
 
-// Placement positions a broker and its cache servers in the datacenter
-// tree; the placement policy scores replica locations by the resulting
-// network distances.
-type Placement struct {
-	Broker Position
-	// Servers[i] is the position of the i-th cache server.
-	Servers []Position
-}
+// Placement positions a broker (Broker) and its cache servers (Servers[i]
+// is the position of the i-th cache server) in the datacenter tree; the
+// placement policy scores replica locations by the resulting network
+// distances.
+type Placement = cluster.Placement
 
 // PolicyConfig tunes the shared placement policy (§3, Algorithms 2–3) that
 // drives replica creation, migration, and eviction on the broker. Zero
@@ -248,17 +241,6 @@ type PolicyConfig struct {
 	// MinReplicas is the durability floor: views with at most this many
 	// copies are never evicted.
 	MinReplicas int
-}
-
-func (p *Placement) toCluster() *cluster.Placement {
-	if p == nil {
-		return nil
-	}
-	out := &cluster.Placement{Broker: cluster.Position(p.Broker)}
-	for _, pos := range p.Servers {
-		out.Servers = append(out.Servers, cluster.Position(pos))
-	}
-	return out
 }
 
 func (p PolicyConfig) toCluster() viewpolicy.Config {

@@ -24,6 +24,22 @@ func openEngine(t *testing.T, cfg dynasore.EngineConfig) *dynasore.Engine {
 	return e
 }
 
+// rackLocal lays out a broker and n cache servers: server local shares the
+// broker's rack, and every other server i sits in rack i+1 of a remote
+// zone. A local of -1 leaves the broker's zone empty, so the policy finds
+// no replication target.
+func rackLocal(local, n int) *dynasore.Placement {
+	p := &dynasore.Placement{}
+	for i := 0; i < n; i++ {
+		if i == local {
+			p.Servers = append(p.Servers, dynasore.Position{Zone: 0, Rack: 0})
+		} else {
+			p.Servers = append(p.Servers, dynasore.Position{Zone: 1, Rack: i + 1})
+		}
+	}
+	return p
+}
+
 // storeSmoke exercises the Store contract against any backend.
 func storeSmoke(t *testing.T, s dynasore.Store) {
 	t.Helper()
@@ -138,6 +154,36 @@ func TestClientBatchedRead(t *testing.T) {
 	}
 }
 
+// TestEngineBatchedRead pins that an Engine reads through its network
+// client: 600 targets reach the broker as three read requests, the same
+// chunks TestClientBatchedRead counts, not as one in-process call.
+func TestEngineBatchedRead(t *testing.T) {
+	ctx := context.Background()
+	e := openEngine(t, dynasore.EngineConfig{})
+	targets := make([]uint32, 600)
+	for i := range targets {
+		targets[i] = uint32(i)
+	}
+	before, err := e.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := e.Read(ctx, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(views) != len(targets) {
+		t.Fatalf("views = %d, want %d", len(views), len(targets))
+	}
+	after, err := e.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.Reads - before.Reads; got != 3 {
+		t.Errorf("broker served %d read requests, want 3 chunks", got)
+	}
+}
+
 func TestClientEmptyRead(t *testing.T) {
 	e := openEngine(t, dynasore.EngineConfig{})
 	c, err := dynasore.Dial(context.Background(), e.Addr())
@@ -215,11 +261,11 @@ func TestHotViewReplicationThroughPublicAPI(t *testing.T) {
 	ctx := context.Background()
 	e := openEngine(t, dynasore.EngineConfig{
 		CacheServers: 3,
-		Preferred:    2,
+		Placement:    rackLocal(2, 3),
 		PolicyEvery:  time.Hour,
 		Policy:       dynasore.PolicyConfig{AdmissionEpsilon: 100},
 	})
-	// Pick a user homed away from the preferred server, so replication
+	// Pick a user homed away from the rack-local server, so replication
 	// onto it is profitable.
 	hot := uint32(0)
 	for e.HomeOf(hot) == 2 {
@@ -240,7 +286,7 @@ func TestHotViewReplicationThroughPublicAPI(t *testing.T) {
 
 func TestCrashedCacheServerFallsBackToWAL(t *testing.T) {
 	ctx := context.Background()
-	e := openEngine(t, dynasore.EngineConfig{CacheServers: 2, Preferred: -1})
+	e := openEngine(t, dynasore.EngineConfig{CacheServers: 2, Placement: rackLocal(-1, 2)})
 	// A user homed on server 1, which stays up when server 0 crashes.
 	u := uint32(0)
 	for e.HomeOf(u) != 1 {
@@ -264,22 +310,12 @@ func TestCrashedCacheServerFallsBackToWAL(t *testing.T) {
 	}
 }
 
-func TestOpenValidatesPreferred(t *testing.T) {
-	if _, err := dynasore.Open(dynasore.EngineConfig{CacheServers: 2, Preferred: 7}); err == nil {
-		t.Error("out-of-range preferred server accepted")
-	}
-	if _, err := dynasore.Open(dynasore.EngineConfig{CacheServers: 2, Preferred: -3}); err == nil {
-		t.Error("preferred server below -1 accepted")
-	}
-}
-
 func TestExplicitPlacementThroughPublicAPI(t *testing.T) {
 	ctx := context.Background()
 	// Server 1 shares the broker's rack; the policy must pick it (not the
-	// Preferred default) as the replication target.
+	// default layout's server 0) as the replication target.
 	e := openEngine(t, dynasore.EngineConfig{
 		CacheServers: 2,
-		Preferred:    -1,
 		Placement: &dynasore.Placement{
 			Broker:  dynasore.Position{Zone: 0, Rack: 0},
 			Servers: []dynasore.Position{{Zone: 1, Rack: 0}, {Zone: 0, Rack: 0}},
@@ -382,7 +418,7 @@ func TestClientRecoversFromBrokerRestart(t *testing.T) {
 		Addr:             "127.0.0.1:0",
 		CacheServerAddrs: []string{s.Addr()},
 		DataDir:          t.TempDir(),
-		Preferred:        -1,
+		Placement:        rackLocal(-1, 1),
 	}
 	b, err := dynasore.ListenBroker(cfg)
 	if err != nil {
@@ -446,7 +482,7 @@ func TestBrokerRecoveryThroughPublicAPI(t *testing.T) {
 		Addr:             "127.0.0.1:0",
 		CacheServerAddrs: []string{s.Addr()},
 		DataDir:          t.TempDir(),
-		Preferred:        -1,
+		Placement:        rackLocal(-1, 1),
 		CheckpointEvery:  time.Hour, // only the parting checkpoint
 	}
 	b, err := dynasore.ListenBroker(cfg)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dynasore/internal/cluster"
-	"dynasore/internal/membership"
 )
 
 // EngineConfig configures an in-process cluster.
@@ -22,17 +21,11 @@ type EngineConfig struct {
 	// ViewCap bounds events kept per view (default 64, at most 65535).
 	ViewCap int
 	// Placement positions the broker and every cache server in the
-	// datacenter tree the placement policy plans over. Nil derives a
-	// default layout from Preferred.
+	// datacenter tree the placement policy plans over. Nil means the
+	// default layout: cache server 0 shares the broker's rack (so hot views
+	// replicate onto it) and every other server sits in its own rack of a
+	// remote zone.
 	Placement *Placement
-	// Preferred is the index of the broker's "rack-local" cache server.
-	// When Placement is nil it seeds the default layout: that server
-	// shares the broker's rack (so hot views replicate onto it) and every
-	// other server sits in a remote zone. -1 means no local server; the
-	// default 0 prefers the first server. Values below -1 are invalid.
-	Preferred int
-	// MaxReplicas bounds a view's replication degree (default 3).
-	MaxReplicas int
 	// PolicyEvery is the interval of the placement policy's maintenance
 	// pass (default 5s).
 	PolicyEvery time.Duration
@@ -51,27 +44,29 @@ type EngineConfig struct {
 	CompactAfter int
 }
 
-// Engine is the in-process backend of Store: it runs cache servers and a
-// broker with a WAL-backed persistent store inside the calling process and
-// executes the API against the broker directly, with no client-side network
-// hop. Use it for embedding DynaSoRe in another program and for tests; its
-// broker also listens on Addr, so network Clients can connect to it.
+// Engine is a whole deployment inside the calling process: cache servers
+// and a broker with a WAL-backed persistent store, served through the
+// network client. The embedded ClusterClient, dialed to the broker's Addr,
+// provides the Store and Admin API, so an Engine behaves exactly like a
+// remote one-broker cluster. Use it for embedding DynaSoRe in another
+// program and for tests; other network clients can Dial Addr as well.
 type Engine struct {
+	*ClusterClient
 	servers []*cluster.Server
 	broker  *cluster.Broker
 	tempDir string // owned temp WAL dir, removed on Close; empty otherwise
 }
 
-var _ Store = (*Engine)(nil)
+var (
+	_ Store = (*Engine)(nil)
+	_ Admin = (*Engine)(nil)
+)
 
-// Open starts an in-process cluster.
+// Open starts an in-process cluster and connects a client to its broker.
 func Open(cfg EngineConfig) (*Engine, error) {
 	n := cfg.CacheServers
 	if n <= 0 {
 		n = 3
-	}
-	if cfg.Preferred < -1 || cfg.Preferred >= n {
-		return nil, fmt.Errorf("dynasore: preferred server %d out of range (have %d)", cfg.Preferred, n)
 	}
 	e := &Engine{}
 	dataDir := cfg.DataDir
@@ -98,9 +93,7 @@ func Open(cfg EngineConfig) (*Engine, error) {
 		ServerAddrs:     addrs,
 		DataDir:         dataDir,
 		ViewCap:         cfg.ViewCap,
-		Placement:       cfg.Placement.toCluster(),
-		Preferred:       cfg.Preferred,
-		MaxReplicas:     cfg.MaxReplicas,
+		Placement:       cfg.Placement,
 		PolicyEvery:     cfg.PolicyEvery,
 		Policy:          cfg.Policy.toCluster(),
 		ServerCapacity:  cfg.ServerCapacity,
@@ -112,48 +105,17 @@ func Open(cfg EngineConfig) (*Engine, error) {
 		return nil, err
 	}
 	e.broker = broker
+	e.ClusterClient, err = Dial(context.Background(), broker.Addr())
+	if err != nil {
+		e.Close()
+		return nil, err
+	}
 	return e, nil
 }
 
 // Addr returns the embedded broker's address, so network Clients (local or
 // remote) can Dial the same cluster.
 func (e *Engine) Addr() string { return e.broker.Addr() }
-
-// Read fetches the views of every user in targets, in order.
-func (e *Engine) Read(ctx context.Context, targets []uint32) ([]View, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	views, err := e.broker.Read(targets)
-	if err != nil {
-		return nil, err
-	}
-	return fromClusterViews(views), nil
-}
-
-// Write appends payload to user's view and returns its sequence number.
-func (e *Engine) Write(ctx context.Context, user uint32, payload []byte) (uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return e.broker.Write(user, payload)
-}
-
-// Stats returns a snapshot of the embedded broker's counters, plus the
-// cache servers' direct-read activity (views they served straight to
-// direct-reading clients, and direct attempts they fenced as stale).
-func (e *Engine) Stats(ctx context.Context) (Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return Stats{}, err
-	}
-	st := fromClusterStats(e.broker.Stats())
-	for _, s := range e.servers {
-		ss := s.Stats()
-		st.DirectReads += ss.DirectReads
-		st.DirectStale += ss.DirectStale
-	}
-	return st, nil
-}
 
 // ReplicaCount returns the current replication degree of user's view.
 func (e *Engine) ReplicaCount(user uint32) int { return e.broker.ReplicaCount(user) }
@@ -162,55 +124,8 @@ func (e *Engine) ReplicaCount(user uint32) int { return e.broker.ReplicaCount(us
 // current membership epoch (rendezvous hashing over the active servers).
 func (e *Engine) HomeOf(user uint32) int { return e.broker.HomeOf(user) }
 
-// Epoch returns the engine's current membership epoch.
+// Epoch returns the broker's current membership epoch.
 func (e *Engine) Epoch() uint64 { return e.broker.Epoch() }
-
-// Membership returns the engine's current cache-server set.
-func (e *Engine) Membership(ctx context.Context) (Membership, error) {
-	if err := ctx.Err(); err != nil {
-		return Membership{}, err
-	}
-	return fromClusterMembership(e.broker.Membership()), nil
-}
-
-// AddServer admits a cache server started elsewhere (e.g. with
-// ListenCacheServer) into the engine's cluster and returns the new
-// membership.
-func (e *Engine) AddServer(ctx context.Context, addr string, pos Position, capacity int) (Membership, error) {
-	if err := ctx.Err(); err != nil {
-		return Membership{}, err
-	}
-	if _, err := e.broker.AddServer(membership.ServerInfo{
-		Addr: addr, Zone: pos.Zone, Rack: pos.Rack, Capacity: capacity,
-	}); err != nil {
-		return Membership{}, err
-	}
-	return fromClusterMembership(e.broker.Membership()), nil
-}
-
-// DrainServer starts decommissioning the cache server at addr.
-func (e *Engine) DrainServer(ctx context.Context, addr string) (Membership, error) {
-	if err := ctx.Err(); err != nil {
-		return Membership{}, err
-	}
-	if _, err := e.broker.DrainServer(addr); err != nil {
-		return Membership{}, err
-	}
-	return fromClusterMembership(e.broker.Membership()), nil
-}
-
-// RemoveServer retires the cache server at addr from the cluster.
-func (e *Engine) RemoveServer(ctx context.Context, addr string) (Membership, error) {
-	if err := ctx.Err(); err != nil {
-		return Membership{}, err
-	}
-	if _, err := e.broker.RemoveServer(addr); err != nil {
-		return Membership{}, err
-	}
-	return fromClusterMembership(e.broker.Membership()), nil
-}
-
-var _ Admin = (*Engine)(nil)
 
 // NumCacheServers returns how many cache nodes the engine runs.
 func (e *Engine) NumCacheServers() int { return len(e.servers) }
@@ -225,11 +140,17 @@ func (e *Engine) CrashCacheServer(i int) error {
 	return e.servers[i].Close()
 }
 
-// Close stops the broker, the cache servers, and the persistent store.
+// Close closes the client, then stops the broker, the cache servers, and
+// the persistent store.
 func (e *Engine) Close() error {
 	var err error
+	if e.ClusterClient != nil {
+		err = e.ClusterClient.Close()
+	}
 	if e.broker != nil {
-		err = e.broker.Close()
+		if cerr := e.broker.Close(); err == nil {
+			err = cerr
+		}
 		e.broker = nil
 	}
 	for _, s := range e.servers {

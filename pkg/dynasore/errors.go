@@ -8,8 +8,8 @@ import (
 )
 
 // Sentinel errors of the Store and Admin APIs. Callers classify failures
-// with errors.Is — never by matching error text. The network backends
-// preserve identity across the wire: a broker tags the relayed error with
+// with errors.Is — never by matching error text. The network client
+// preserves identity across the wire: a broker tags the relayed error with
 // a one-byte code and the client reattaches the sentinel, so
 // errors.Is(err, dynasore.ErrNotLeader) holds whether the store is an
 // in-process Engine or a remote cluster.

@@ -16,7 +16,7 @@ func TestEngineElasticMembership(t *testing.T) {
 	ctx := context.Background()
 	e := openEngine(t, dynasore.EngineConfig{
 		CacheServers: 2,
-		Preferred:    -1,
+		Placement:    rackLocal(-1, 2),
 		PolicyEvery:  50 * time.Millisecond,
 		Policy:       dynasore.PolicyConfig{AdmissionEpsilon: 1e12},
 	})

@@ -8,12 +8,9 @@ import (
 )
 
 // BrokerPeer identifies one broker of a multi-broker cluster: the address
-// its peers dial it on and its position in the datacenter tree — the
-// paper's broker-per-front-end-cluster anchoring.
-type BrokerPeer struct {
-	Addr string
-	Pos  Position
-}
+// its peers dial it on (Addr) and its position in the datacenter tree
+// (Pos) — the paper's broker-per-front-end-cluster anchoring.
+type BrokerPeer = cluster.PeerInfo
 
 // CacheServer is one standalone in-memory cache node, holding view replicas
 // for brokers. Views live only in memory — durability is the broker's
@@ -57,16 +54,10 @@ type BrokerConfig struct {
 	// ViewCap bounds events kept per view (default 64, at most 65535).
 	ViewCap int
 	// Placement positions the broker and every cache server in the
-	// datacenter tree the placement policy plans over. Nil derives a
-	// default layout from Preferred.
+	// datacenter tree the placement policy plans over. Nil means the
+	// default layout: cache server 0 shares the broker's rack and every
+	// other server sits in its own rack of a remote zone.
 	Placement *Placement
-	// Preferred is the index of the broker's "rack-local" cache server.
-	// When Placement is nil it seeds the default layout: that server
-	// shares the broker's rack and every other server sits in a remote
-	// zone. -1 disables preference; values below -1 are invalid.
-	Preferred int
-	// MaxReplicas bounds a view's replication degree (default 3).
-	MaxReplicas int
 	// PolicyEvery is the interval of the placement policy's maintenance
 	// pass (default 5s).
 	PolicyEvery time.Duration
@@ -114,23 +105,17 @@ type Broker struct {
 
 // ListenBroker starts a broker node.
 func ListenBroker(cfg BrokerConfig) (*Broker, error) {
-	peers := make([]cluster.PeerInfo, len(cfg.Peers))
-	for i, p := range cfg.Peers {
-		peers[i] = cluster.PeerInfo{Addr: p.Addr, Pos: cluster.Position(p.Pos)}
-	}
 	b, err := cluster.NewBroker(cluster.BrokerConfig{
 		Addr:            cfg.Addr,
 		Listener:        cfg.Listener,
 		ServerAddrs:     cfg.CacheServerAddrs,
 		DataDir:         cfg.DataDir,
 		ViewCap:         cfg.ViewCap,
-		Placement:       cfg.Placement.toCluster(),
-		Preferred:       cfg.Preferred,
-		MaxReplicas:     cfg.MaxReplicas,
+		Placement:       cfg.Placement,
 		PolicyEvery:     cfg.PolicyEvery,
 		Policy:          cfg.Policy.toCluster(),
 		ServerCapacity:  cfg.ServerCapacity,
-		Peers:           peers,
+		Peers:           cfg.Peers,
 		Self:            cfg.Self,
 		SyncEvery:       cfg.SyncEvery,
 		CheckpointEvery: cfg.CheckpointEvery,
