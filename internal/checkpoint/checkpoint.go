@@ -16,7 +16,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"dynasore/internal/telemetry"
@@ -39,6 +39,9 @@ const (
 	// maxSaneCount bounds every decoded element count: a snapshot is read
 	// whole into memory, so a count its byte length cannot back is corrupt.
 	maxSaneCount = 1 << 28
+	// headerLen is the fixed header: magic, version, nextSeq, stride,
+	// offset, pos.seg and pos.off.
+	headerLen = 4 + 4 + 8 + 8 + 8 + 4 + 8
 )
 
 // fileMagic opens every snapshot file.
@@ -108,7 +111,25 @@ func Load(dir string) (*wal.Snapshot, error) {
 //
 // Map iteration is sorted so identical states encode identically.
 func encode(snap *wal.Snapshot) []byte {
-	buf := append([]byte{}, fileMagic[:]...)
+	origins := make([]uint64, 0, len(snap.Cursors))
+	for o := range snap.Cursors {
+		origins = append(origins, o)
+	}
+	slices.Sort(origins)
+	users := make([]uint32, 0, len(snap.Views))
+	size := headerLen + 4 + 16*len(origins) + 4 + 4
+	for u, view := range snap.Views {
+		users = append(users, u)
+		size += 4 + 8 + 4
+		for _, r := range view {
+			size += 8 + 8 + 4 + len(r.Payload)
+		}
+	}
+	slices.Sort(users)
+
+	// Sized once: a snapshot holds every view's payloads, and growing the
+	// buffer by doubling would allocate about twice the file.
+	buf := append(make([]byte, 0, size), fileMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, snap.NextSeq)
 	buf = binary.LittleEndian.AppendUint64(buf, snap.Stride)
@@ -116,22 +137,12 @@ func encode(snap *wal.Snapshot) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(snap.Pos.Seg))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(snap.Pos.Off))
 
-	origins := make([]uint64, 0, len(snap.Cursors))
-	for o := range snap.Cursors {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(origins)))
 	for _, o := range origins {
 		buf = binary.LittleEndian.AppendUint64(buf, o)
 		buf = binary.LittleEndian.AppendUint64(buf, snap.Cursors[o])
 	}
 
-	users := make([]uint32, 0, len(snap.Views))
-	for u := range snap.Views {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(users)))
 	for _, u := range users {
 		view := snap.Views[u]
@@ -151,7 +162,6 @@ func encode(snap *wal.Snapshot) []byte {
 // decode parses an encoded snapshot, verifying magic, version, and the
 // trailing whole-file checksum before trusting any of it.
 func decode(buf []byte) (*wal.Snapshot, error) {
-	const headerLen = 4 + 4 + 8 + 8 + 8 + 4 + 8
 	if len(buf) < headerLen+8 || [4]byte(buf[0:4]) != fileMagic {
 		return nil, ErrCorrupt
 	}

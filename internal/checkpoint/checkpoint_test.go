@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -406,5 +408,51 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if got.Versions[u] != snap.Versions[u] {
 			t.Fatalf("user %d version %d, want %d", u, got.Versions[u], snap.Versions[u])
 		}
+	}
+}
+
+// encodeFixture is a snapshot of several users with payloads of varied
+// lengths, the empty one included.
+func encodeFixture() *wal.Snapshot {
+	snap := &wal.Snapshot{
+		NextSeq: 901, Stride: 3, Offset: 2,
+		Pos:      wal.Pos{Seg: 7, Off: 4096},
+		Cursors:  map[uint64]uint64{2: 900, 0: 898, 1: 899},
+		Views:    map[uint32][]wal.Record{},
+		Versions: map[uint32]uint64{},
+	}
+	for u := uint32(0); u < 40; u++ {
+		user := u * 7919 % 1000
+		for i := range int(u % 5) {
+			seq := uint64(10*u) + uint64(i)
+			snap.Views[user] = append(snap.Views[user], wal.Record{
+				Seq: seq, User: user, At: int64(seq) * 3, Payload: []byte(strings.Repeat("p", int(u)*i)),
+			})
+			snap.Versions[user] = seq
+		}
+	}
+	return snap
+}
+
+// TestEncodeIsByteStable pins the snapshot file's bytes: the digest was
+// taken from the encoder before it sized its buffer up front, and a
+// snapshot written by either must read back under the other.
+func TestEncodeIsByteStable(t *testing.T) {
+	sum := sha256.Sum256(encode(encodeFixture()))
+	if got, want := hex.EncodeToString(sum[:]), "06e473afee7a1104bfb41b7c48c60914c1dc1ed472032d59854cdaad4947f08d"; got != want {
+		t.Errorf("encoded snapshot digest = %s, want %s", got, want)
+	}
+}
+
+// TestEncodeAllocs: encode sizes its buffer once, so it allocates the
+// two sorted key slices and the buffer, however many views the snapshot
+// holds.
+func TestEncodeAllocs(t *testing.T) {
+	snap := encodeFixture()
+	if b := encode(snap); cap(b) != len(b) {
+		t.Errorf("encode: cap %d, want exactly the %d bytes written", cap(b), len(b))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { encode(snap) }); allocs > 3 {
+		t.Errorf("encode: %.0f allocs, want at most 3", allocs)
 	}
 }

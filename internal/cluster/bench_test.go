@@ -10,7 +10,7 @@ import (
 
 // benchClusterSetup starts 3 cache servers and a broker for throughput
 // benchmarks over real TCP on localhost.
-func benchClusterSetup(b *testing.B) testClient {
+func benchClusterSetup(b *testing.B) (*Broker, testClient) {
 	b.Helper()
 	var addrs []string
 	for i := 0; i < 3; i++ {
@@ -28,7 +28,7 @@ func benchClusterSetup(b *testing.B) testClient {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { br.Close() })
-	return dialTest(b, br.Addr())
+	return br, dialTest(b, br.Addr())
 }
 
 // benchServer starts one cache server seeded with views, bypassing the
@@ -43,7 +43,7 @@ func benchServer(b *testing.B, users uint32) *Server {
 	b.Cleanup(func() { s.Close() })
 	v := View{Version: 1, Events: [][]byte{make([]byte, 140)}, seqs: []uint64{1}}
 	for u := uint32(0); u < users; u++ {
-		s.install(u, v, 0, 1)
+		installView(s, u, v, 0, 1)
 	}
 	return s
 }
@@ -81,6 +81,9 @@ func BenchmarkServerParallelMixed(b *testing.B) {
 	// A cap of one keeps every view at one event, as seeded: each put
 	// supersedes the cached view the way a broker's next write does.
 	put := appendPutMeta(encodeView(binary.LittleEndian.AppendUint32(nil, 0), View{Version: 2, Events: [][]byte{make([]byte, 140)}, seqs: []uint64{2}}), 1, 0, 1)
+	// Each goroutine reuses one put body for every user: the server keeps
+	// the view bytes after the user id as the cached view, and only the
+	// user id is rewritten between puts.
 	var bad atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -112,7 +115,7 @@ func BenchmarkServerParallelMixed(b *testing.B) {
 // BenchmarkClusterWrite measures end-to-end write latency: WAL append plus
 // cache refresh over TCP.
 func BenchmarkClusterWrite(b *testing.B) {
-	c := benchClusterSetup(b)
+	_, c := benchClusterSetup(b)
 	payload := make([]byte, 140)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -125,7 +128,7 @@ func BenchmarkClusterWrite(b *testing.B) {
 // BenchmarkClusterRead measures end-to-end feed-read latency for a
 // 10-producer feed.
 func BenchmarkClusterRead(b *testing.B) {
-	c := benchClusterSetup(b)
+	_, c := benchClusterSetup(b)
 	targets := make([]uint32, 10)
 	for i := range targets {
 		targets[i] = uint32(i)
@@ -133,6 +136,32 @@ func BenchmarkClusterRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Read(targets); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBrokerFanoutRead measures one broker read of 3 users, each
+// homed on a different cache server and holding 16 events of 512 bytes,
+// over loopback. The view bytes cross each server's answer, the broker's
+// decode and answer, and the client's decode; with -benchmem it shows
+// what those hops allocate per read.
+func BenchmarkBrokerFanoutRead(b *testing.B) {
+	br, c := benchClusterSetup(b)
+	targets := make([]uint32, 3)
+	payload := make([]byte, 512)
+	for i := range targets {
+		targets[i] = userHomedOn(b, br, i)
+		for range 16 {
+			if _, err := c.Write(targets[i], payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Read(targets); err != nil {

@@ -2010,7 +2010,7 @@ func (b *Broker) handleRead(tc telemetry.TraceContext, body []byte) (uint8, []by
 	sp.Stage("execute")
 	// The epoch trailer lets clients notice a membership change
 	// without polling.
-	resp := appendEpochTrailer(encodeReadResponse(views), b.Epoch())
+	resp := encodeReadResponse(views, b.Epoch())
 	sp.Stage("encode")
 	b.readHist.Observe(time.Since(start))
 	return respRead, resp

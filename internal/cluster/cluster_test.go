@@ -15,7 +15,7 @@ import (
 // under the broker's current membership epoch. Rendezvous hashing spreads
 // homes evenly, so a suitable user is always found within a few tries —
 // tests use this instead of assuming the retired modulo placement.
-func userHomedOn(t *testing.T, b *Broker, idx int) uint32 {
+func userHomedOn(t testing.TB, b *Broker, idx int) uint32 {
 	t.Helper()
 	for u := uint32(0); u < 10_000; u++ {
 		if b.HomeOf(u) == idx {
@@ -358,7 +358,7 @@ func TestWritesRefreshAllReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, idx := range []int{0, 2} {
-		v, ok := servers[idx].lookup(hot)
+		v, ok := lookupView(t, servers[idx], hot)
 		if !ok {
 			t.Fatalf("server %d lost the view", idx)
 		}
@@ -546,7 +546,7 @@ func TestCrashRecoveryReplicationInterplay(t *testing.T) {
 	if got := b.ReplicaCount(u); got != 2 {
 		t.Fatalf("replicas after recovery = %d, want 2 (policy re-created)", got)
 	}
-	v, ok := restarted.lookup(u)
+	v, ok := lookupView(t, restarted, u)
 	if !ok {
 		t.Fatal("restarted server holds no replica")
 	}

@@ -284,11 +284,8 @@ func TestReadManyMixedBatch(t *testing.T) {
 	d.Install(short)
 	// A put under a newer placement version than the lease carries: the
 	// server must refuse the lease's route.
-	cv, ok := servers[0].lookup(stale)
-	if !ok {
-		t.Fatalf("user %d not cached on its home", stale)
-	}
-	servers[0].install(stale, cv.View, cv.placement+1, len(cv.Events))
+	cv := cached(t, servers[0], stale)
+	installView(servers[0], stale, cv.View, cv.placement+1, len(cv.Events))
 	// Replica 0 of this lease is a server that does not hold the view.
 	if _, ok := servers[2].lookup(moved); ok {
 		t.Fatalf("user %d unexpectedly cached on server 2", moved)

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"dynasore/internal/telemetry"
@@ -20,14 +23,43 @@ func putVia(t *testing.T, s *Server, user uint32, v View, placement uint64, limi
 	}
 }
 
-// cached returns user's cached view on s, failing the test on a miss.
-func cached(t *testing.T, s *Server, user uint32) cachedView {
+// installView installs v on s the way a put of its wire form does.
+func installView(s *Server, user uint32, v View, placement uint64, limit int) {
+	wire := encodeView(nil, v)
+	in, _, _ := decodeView(wire)
+	s.install(user, in, wire, placement, limit)
+}
+
+// lookupView returns user's cached view on s, decoded from its wire form.
+func lookupView(t testing.TB, s *Server, user uint32) (View, bool) {
 	t.Helper()
 	cv, ok := s.lookup(user)
 	if !ok {
+		return View{}, false
+	}
+	v, _, err := decodeView(cv.wire)
+	if err != nil {
+		t.Fatalf("user %d: cached bytes do not decode: %v", user, err)
+	}
+	return v, true
+}
+
+// decodedCopy is a cached view decoded from its wire form, with the
+// placement token stored beside it.
+type decodedCopy struct {
+	View
+	placement uint64
+}
+
+// cached returns user's cached view on s, failing the test on a miss.
+func cached(t *testing.T, s *Server, user uint32) decodedCopy {
+	t.Helper()
+	v, ok := lookupView(t, s, user)
+	if !ok {
 		t.Fatalf("user %d not cached", user)
 	}
-	return cv
+	cv, _ := s.lookup(user)
+	return decodedCopy{View: v, placement: cv.placement}
 }
 
 // TestServerInstallMergesBySeq pins the cache server's install rule: a put
@@ -118,6 +150,160 @@ func TestMergeViews(t *testing.T) {
 	}
 }
 
+// TestInstallKeepsOneBuffer pins who owns a cached view's bytes. A put
+// that survives whole is kept as its own view bytes, a slice of the put
+// frame. A merge that mixes the put with the cached copy writes one
+// fresh buffer of exactly the merged size, which holds no reference into
+// either put's frame: scribbling over both frames leaves it intact.
+func TestInstallKeepsOneBuffer(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	const user = 5
+	put := func(v View) []byte {
+		body := appendPutMeta(encodeView(binary.LittleEndian.AppendUint32(nil, user), v), 1, 0, 64)
+		if rt, resp := s.handle(telemetry.TraceContext{}, opPutView, body); rt != respOK {
+			t.Fatalf("put: respType = %d (%q), want respOK", rt, resp)
+		}
+		return body
+	}
+	wire := func() []byte {
+		cv, _ := s.lookup(user)
+		return cv.wire
+	}
+
+	first := put(viewOf(1, 2))
+	if &wire()[0] != &first[4] {
+		t.Error("a put into an empty slot was copied, want the put's own bytes")
+	}
+	second := put(viewOf(2, 3)) // lacks event 1: the union mixes both copies
+	merged := wire()
+	if cap(merged) != len(merged) {
+		t.Errorf("merged bytes: cap %d, want exactly %d", cap(merged), len(merged))
+	}
+	for _, frame := range [][]byte{first, second} {
+		for i := range frame {
+			frame[i] = 0xee
+		}
+	}
+	if v := cached(t, s, user); !slices.Equal(v.seqs, []uint64{1, 2, 3}) || string(v.Events[0]) != "e1" || string(v.Events[2]) != "e3" {
+		t.Errorf("merged view after the put frames were overwritten = %v %q, want [1 2 3] [e1 e2 e3]", v.seqs, v.Events)
+	}
+	third := put(viewOf(1, 2, 3, 4)) // holds the whole union: kept as put
+	if &wire()[0] != &third[4] {
+		t.Error("a put holding the whole union was copied, want the put's own bytes")
+	}
+}
+
+// TestMergeWireMatchesMergeViews: install merges wire bytes by
+// mergeViews' rule, whether it keeps the put's bytes or writes new ones.
+func TestMergeWireMatchesMergeViews(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	randView := func() View {
+		var seqs []uint64
+		for seq := uint64(1); seq <= 10; seq++ {
+			if rng.IntN(2) == 0 {
+				seqs = append(seqs, seq)
+			}
+		}
+		v := viewOf(seqs...)
+		v.Version += uint64(rng.IntN(3)) // a version past the newest event kept
+		return v
+	}
+	for range 3000 {
+		cur, in, limit := randView(), randView(), 1+rng.IntN(8)
+		var curWire []byte
+		if len(cur.seqs) > 0 || cur.Version > 0 {
+			curWire = encodeView(nil, cur)
+		}
+		inWire := encodeView(nil, in)
+		decoded, _, err := decodeView(inWire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mergeWire(curWire, decoded, inWire, limit)
+		if want := encodeView(nil, mergeViews(cur, in, limit)); !bytes.Equal(got, want) {
+			t.Fatalf("merge %v@%d into %v@%d (limit %d): wire differs from mergeViews", in.seqs, in.Version, cur.seqs, cur.Version, limit)
+		}
+	}
+}
+
+// TestServerGetAllocatesNothing: a get answers with the cached bytes as
+// they are, so serving one allocates nothing.
+func TestServerGetAllocatesNothing(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	installView(s, 7, viewOf(1, 2, 3), 0, 64)
+	body := binary.LittleEndian.AppendUint32(nil, 7)
+	allocs := testing.AllocsPerRun(100, func() {
+		if rt, _ := s.handle(telemetry.TraceContext{}, opGetView, body); rt != respView {
+			t.Fatalf("get: respType = %d, want respView", rt)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("opGetView: %.1f allocs per get, want 0", allocs)
+	}
+}
+
+// TestServerConcurrentPutGet: gets answer with the cached bytes while
+// puts of overlapping views replace them, keeping a put's own bytes or
+// writing fresh ones. Run under -race, it checks that no installed
+// buffer is written again; every answer must decode to events that
+// match their sequence numbers.
+func TestServerConcurrentPutGet(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	const users, rounds = 4, 300
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := range rounds {
+				// Overlapping windows from different writers: some puts
+				// survive whole, others merge with the cached copy.
+				base := uint64(i + w)
+				body := appendPutMeta(encodeView(binary.LittleEndian.AppendUint32(nil, uint32(i%users)), viewOf(base, base+2, base+3)), 1, 0, 8)
+				if rt, resp := s.handle(telemetry.TraceContext{}, opPutView, body); rt != respOK {
+					t.Errorf("put: respType = %d (%q), want respOK", rt, resp)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			get := make([]byte, 4)
+			for i := range rounds {
+				binary.LittleEndian.PutUint32(get, uint32(i%users))
+				rt, body := s.handle(telemetry.TraceContext{}, opGetView, get)
+				if rt == respMiss {
+					continue
+				}
+				v, _, err := decodeView(body)
+				if rt != respView || err != nil {
+					t.Errorf("get: respType %d, err %v", rt, err)
+					return
+				}
+				for k, seq := range v.seqs {
+					if string(v.Events[k]) != fmt.Sprintf("e%d", seq) {
+						t.Errorf("event of seq %d = %q", seq, v.Events[k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestRemoveReplicaMergesDroppedCopyIntoSurvivor: the copy a removal drops
 // can hold an event the survivor lacks at an equal version (the copies
 // took puts from brokers whose stores differed). The drop puts it onto
@@ -129,8 +315,8 @@ func TestRemoveReplicaMergesDroppedCopyIntoSurvivor(t *testing.T) {
 	if rt, resp := b.handle(telemetry.TraceContext{}, opPlacementBatch, body); rt != respOK {
 		t.Fatalf("respType = %d (%q), want respOK", rt, resp)
 	}
-	servers[0].install(user, viewOf(5, 6), 0, 64)
-	servers[1].install(user, viewOf(6), 0, 64)
+	installView(servers[0], user, viewOf(5, 6), 0, 64)
+	installView(servers[1], user, viewOf(6), 0, 64)
 
 	if !b.removeReplica(user, 0) {
 		t.Fatal("replica on server 0 not removed")

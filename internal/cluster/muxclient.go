@@ -436,7 +436,7 @@ func (c *Client) getView(user uint32, tc telemetry.TraceContext) (View, bool, er
 // user's placement version — and capped at limit events. A sampled tc
 // makes the server's span join the trace.
 func (c *Client) putView(user uint32, v View, epoch, placement uint64, limit int, tc telemetry.TraceContext) error {
-	body := binary.LittleEndian.AppendUint32(nil, user)
+	body := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+viewLen(v)+putMetaLen), user)
 	body = encodeView(body, v)
 	body = appendPutMeta(body, epoch, placement, limit)
 	return expectOK(c.roundTrip(opPutView, body, tc))
@@ -492,16 +492,12 @@ func (c *Client) Read(ctx context.Context, targets []uint32) ([]View, error) {
 	}()
 	switch respType {
 	case respRead:
-		views, rest, err := decodeReadResponse(respBody)
+		views, epoch, err := decodeReadResponse(respBody)
 		if err != nil {
 			return nil, err
 		}
 		if len(views) != len(targets) {
 			return nil, fmt.Errorf("%w: %d views for %d targets", ErrBadFrame, len(views), len(targets))
-		}
-		epoch, err := decodeEpochTrailer(rest)
-		if err != nil {
-			return nil, err
 		}
 		c.noteEpoch(epoch)
 		return views, nil

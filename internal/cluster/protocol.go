@@ -251,8 +251,11 @@ func clientHello(conn net.Conn) error {
 }
 
 // handlerFunc executes one request and returns the response frame's type
-// and body. tc is the request's trace context (zero when unsampled). It
-// must be safe for concurrent use: requests are dispatched in parallel.
+// and body. tc is the request's trace context (zero when unsampled). body
+// is the request frame's own buffer, which the handler may keep but not
+// write into; the response body is only read, so it may be bytes the
+// handler keeps too. It must be safe for concurrent use: requests are
+// dispatched in parallel.
 type handlerFunc func(tc telemetry.TraceContext, msgType uint8, body []byte) (uint8, []byte)
 
 // serveFrames drives one accepted connection. The first frame must be a
@@ -333,27 +336,33 @@ func decodeReadRequest(body []byte) ([]uint32, error) {
 	return targets, nil
 }
 
-// encodeReadResponse builds a respRead body: uint32(count) | count × view.
-func encodeReadResponse(views []View) []byte {
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(views)))
+// encodeReadResponse builds a respRead body: uint32(count) | count × view
+// | uint64(epoch), the broker's membership epoch (see appendEpochTrailer).
+// The body is sized once: it carries a whole feed's views, and growing it
+// view by view would copy the answer again at every growth.
+func encodeReadResponse(views []View, epoch uint64) []byte {
+	size := 4 + 8
+	for _, v := range views {
+		size += viewLen(v)
+	}
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(views)))
 	for _, v := range views {
 		out = encodeView(out, v)
 	}
-	return out
+	return appendEpochTrailer(out, epoch)
 }
 
-// decodeReadResponse parses a respRead body. The returned remainder holds
-// whatever follows the encoded views — the membership epoch trailer (see
-// decodeEpochTrailer).
-func decodeReadResponse(body []byte) ([]View, []byte, error) {
+// decodeReadResponse parses a respRead body: the views and the broker's
+// membership epoch that follows them.
+func decodeReadResponse(body []byte) ([]View, uint64, error) {
 	if len(body) < 4 {
-		return nil, nil, ErrBadFrame
+		return nil, 0, ErrBadFrame
 	}
 	count64 := int64(binary.LittleEndian.Uint32(body[0:4]))
 	// An encoded view is at least 10 bytes, so a count the body cannot
 	// hold is malformed — reject before trusting it for allocation.
 	if count64 > int64(len(body)-4)/10 {
-		return nil, nil, ErrBadFrame
+		return nil, 0, ErrBadFrame
 	}
 	rest := body[4:]
 	views := make([]View, 0, count64)
@@ -362,11 +371,15 @@ func decodeReadResponse(body []byte) ([]View, []byte, error) {
 		var err error
 		v, rest, err = decodeView(rest)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		views = append(views, v)
 	}
-	return views, rest, nil
+	epoch, err := decodeEpochTrailer(rest)
+	if err != nil {
+		return nil, 0, err
+	}
+	return views, epoch, nil
 }
 
 // View is a producer-pivoted view: the user's latest events, oldest first,
@@ -385,11 +398,10 @@ type View struct {
 }
 
 // encodeView appends a view's wire form to buf: uint64(version) |
-// uint16(n) | n × { uint64 seq, uint32 len, payload }.
+// uint16(n) | n × { uint64 seq, uint32 len, payload }. Callers that encode
+// several views, or a view between other fields, size buf first; a buf
+// without room grows once, not once per event.
 func encodeView(buf []byte, v View) []byte {
-	// Grow once per view (amortized): the hot read path encodes a view per
-	// response, and incremental appends would reallocate several times per
-	// call.
 	buf = slices.Grow(buf, viewLen(v))
 	buf = binary.LittleEndian.AppendUint64(buf, v.Version)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(v.Events)))
@@ -413,6 +425,12 @@ func viewLen(v View) int {
 // decodeView parses a view and returns the remaining bytes. Sequence
 // numbers must strictly ascend: mergeViews relies on it, and the bytes
 // come from the network.
+//
+// Events are not copied: each is a slice of b capped at its own length,
+// so an append to one event reallocates instead of overwriting the next
+// event's header. This is safe because readFrame allocates a new buffer
+// for every frame and nothing writes into a frame once it is read; the
+// events are read-only, and retaining one retains the whole frame.
 func decodeView(b []byte) (View, []byte, error) {
 	if len(b) < 10 {
 		return View{}, nil, ErrBadFrame
@@ -431,11 +449,10 @@ func decodeView(b []byte) (View, []byte, error) {
 		if n > maxEventLen || len(b) < 12+int(n) || (i > 0 && seq <= v.seqs[i-1]) {
 			return View{}, nil, ErrBadFrame
 		}
-		ev := make([]byte, n)
-		copy(ev, b[12:12+n])
-		v.Events = append(v.Events, ev)
+		end := 12 + int(n)
+		v.Events = append(v.Events, b[12:end:end])
 		v.seqs = append(v.seqs, seq)
-		b = b[12+n:]
+		b = b[end:]
 	}
 	return v, b, nil
 }
@@ -450,15 +467,9 @@ func decodeView(b []byte) (View, []byte, error) {
 func mergeViews(cur, in View, limit int) View {
 	version := max(cur.Version, in.Version)
 	// Walk both copies from the newest event down, twice: first to size
-	// the result exactly (a cached view lives long, so slack in it would
-	// be heap) and to learn whether any of cur's own events are in it,
-	// then to fill it.
-	n, i, j, fromCur := 0, len(cur.seqs)-1, len(in.seqs)-1, false
-	for ; n < limit && (i >= 0 || j >= 0); n++ {
-		ni, nj := nextNewest(cur.seqs, in.seqs, i, j)
-		fromCur = fromCur || nj == j
-		i, j = ni, nj
-	}
+	// the result exactly and to learn whether any of cur's own events are
+	// in it, then to fill it.
+	n, fromCur := mergeSpan(cur.seqs, in.seqs, limit)
 	if !fromCur {
 		// The put already holds the union's newest n events — the common
 		// case, a broker's put of a view that grew by one event — so it
@@ -467,7 +478,7 @@ func mergeViews(cur, in View, limit int) View {
 		return View{Version: version, Events: in.Events[k:], seqs: in.seqs[k:]}
 	}
 	v := View{Version: version, Events: make([][]byte, n), seqs: make([]uint64, n)}
-	i, j = len(cur.seqs)-1, len(in.seqs)-1
+	i, j := len(cur.seqs)-1, len(in.seqs)-1
 	for k := n - 1; k >= 0; k-- {
 		if ni, nj := nextNewest(cur.seqs, in.seqs, i, j); nj < j {
 			v.Events[k], v.seqs[k] = in.Events[j], in.seqs[j]
@@ -478,6 +489,46 @@ func mergeViews(cur, in View, limit int) View {
 		}
 	}
 	return v
+}
+
+// mergeSpan walks two ascending seq lists of one user's view from the
+// newest event down, as mergeViews merges them: n is the number of
+// events their union keeps under limit, and fromCur reports whether any
+// of them is held by cur and not by in.
+func mergeSpan(cur, in []uint64, limit int) (n int, fromCur bool) {
+	i, j := len(cur)-1, len(in)-1
+	for ; n < limit && (i >= 0 || j >= 0); n++ {
+		ni, nj := nextNewest(cur, in, i, j)
+		fromCur = fromCur || nj == j
+		i, j = ni, nj
+	}
+	return n, fromCur
+}
+
+// wireSeqs appends the sequence numbers of a view's wire form,
+// oldest first, to dst. b must have passed decodeView: the walk checks
+// nothing. It lets a cache server see which events its cached bytes hold
+// without decoding them.
+func wireSeqs(dst []uint64, b []byte) []uint64 {
+	if len(b) < 10 {
+		return dst
+	}
+	count := int(binary.LittleEndian.Uint16(b[8:10]))
+	b = b[10:]
+	for range count {
+		dst = append(dst, binary.LittleEndian.Uint64(b[0:8]))
+		b = b[12+int(binary.LittleEndian.Uint32(b[8:12])):]
+	}
+	return dst
+}
+
+// wireVersion is the version of a view's wire form; an empty b (no view)
+// is version 0.
+func wireVersion(b []byte) uint64 {
+	if len(b) < 8 {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b[0:8])
 }
 
 // nextNewest steps past the newest event not yet taken in a walk down two
@@ -1013,7 +1064,11 @@ type directAnswer struct {
 	// status is respView (view is valid), respStaleRoute (the lease is
 	// fenced: epoch and placement are the server's own tokens) or
 	// respNotHere (this replica does not hold the view).
-	status           uint8
+	status uint8
+	// wire is a respView answer's view in its wire form: the cache
+	// server's cached bytes, which encodeDirectAnswers copies in as they
+	// are, or the slice of the frame decodeDirectAnswers parsed view from.
+	wire             []byte
 	view             View
 	epoch, placement uint64
 }
@@ -1029,7 +1084,7 @@ func encodeDirectAnswers(answers []directAnswer, epoch uint64) []byte {
 	for _, a := range answers {
 		switch a.status {
 		case respView:
-			size += viewLen(a.view)
+			size += len(a.wire)
 		case respStaleRoute:
 			size += staleRouteLen
 		}
@@ -1039,7 +1094,7 @@ func encodeDirectAnswers(answers []directAnswer, epoch uint64) []byte {
 		buf = append(buf, a.status)
 		switch a.status {
 		case respView:
-			buf = encodeView(buf, a.view)
+			buf = append(buf, a.wire...)
 		case respStaleRoute:
 			buf = appendStaleRoute(buf, a.epoch, a.placement)
 		}
@@ -1051,6 +1106,8 @@ func encodeDirectAnswers(answers []directAnswer, epoch uint64) []byte {
 // against the bytes present before allocating (every answer takes at
 // least its status byte); an unknown status, a truncated answer or bytes
 // after the epoch trailer are ErrBadFrame.
+//
+//dynalint:allow codecpair encodeDirectAnswers copies each view's wire bytes in as the cache server holds them (they passed decodeView when put), so its fingerprint lacks the CALL(View) this decoder makes
 func decodeDirectAnswers(b []byte) ([]directAnswer, uint64, error) {
 	if len(b) < 2 {
 		return nil, 0, ErrBadFrame
@@ -1074,7 +1131,7 @@ func decodeDirectAnswers(b []byte) ([]directAnswer, uint64, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			a.view, b = v, rest
+			a.view, a.wire, b = v, b[:len(b)-len(rest)], rest
 		case respStaleRoute:
 			e, pv, err := decodeStaleRoute(b)
 			if err != nil {
@@ -1112,6 +1169,9 @@ func decodeStaleRoute(b []byte) (epoch, placement uint64, err error) {
 	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]), nil
 }
 
+// putMetaLen is the wire size of the put metadata (appendPutMeta).
+const putMetaLen = 18
+
 // appendPutMeta appends the put metadata to an opPutView body, after the
 // encoded view: uint64(epoch) | uint64(placement) | uint16(limit). The
 // server learns from it the membership epoch and the placement version of
@@ -1127,7 +1187,7 @@ func appendPutMeta(buf []byte, epoch, placement uint64, limit int) []byte {
 // version of 0 is simply a view that was never re-placed — it can never
 // out-fence a lease. A limit of 0 would cache nothing and is malformed.
 func decodePutMeta(b []byte) (epoch, placement uint64, limit int, err error) {
-	if len(b) < 18 {
+	if len(b) < putMetaLen {
 		return 0, 0, 0, ErrBadFrame
 	}
 	limit = int(binary.LittleEndian.Uint16(b[16:18]))

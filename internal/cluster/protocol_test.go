@@ -595,6 +595,37 @@ func TestDecodeViewRejectsUnorderedSeqs(t *testing.T) {
 	}
 }
 
+// TestDecodedEventsAliasTheFrame: decodeView does not copy events. Each
+// is a slice of the bytes it parsed, capped at its own length, so an
+// append to one event reallocates it instead of overwriting the header
+// and payload of the event after it.
+func TestDecodedEventsAliasTheFrame(t *testing.T) {
+	buf := encodeView(nil, viewOf(3, 5))
+	v, _, err := decodeView(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// uint64 version | uint16 n, then event 0's uint64 seq | uint32 len.
+	if &v.Events[0][0] != &buf[10+12] {
+		t.Error("event 0 is a copy, want a slice of the decoded bytes")
+	}
+	for i, ev := range v.Events {
+		if cap(ev) != len(ev) {
+			t.Errorf("event %d: cap %d, want its length %d", i, cap(ev), len(ev))
+		}
+	}
+	grown := append(v.Events[0], "overwrite"...)
+	if string(grown) != "e3overwrite" {
+		t.Errorf("appended event = %q", grown)
+	}
+	if !bytes.Equal(buf, encodeView(nil, viewOf(3, 5))) {
+		t.Error("appending to event 0 changed the decoded bytes")
+	}
+	if string(v.Events[1]) != "e5" {
+		t.Errorf("event 1 = %q after an append to event 0, want e5", v.Events[1])
+	}
+}
+
 func TestPlacementEntryRoundTrip(t *testing.T) {
 	buf := appendPlacementEntry(nil, 42, []int{3, 0, 7})
 	e, rest, err := decodePlacementEntry(buf)
@@ -774,7 +805,7 @@ func TestLogRecordsRoundTrip(t *testing.T) {
 // malformed for each of these decoders.
 func TestDecodersRejectShortBodies(t *testing.T) {
 	view := membership.Seed([]membership.ServerInfo{{Addr: "a:1"}, {Addr: "b:2"}})
-	readResp := appendEpochTrailer(encodeReadResponse([]View{{Version: 1}}), 3)
+	readResp := encodeReadResponse([]View{{Version: 1}}, 3)
 	putBody := appendPutMeta(encodeView(nil, viewOf(1)), 2, 5, 64)
 	cases := []struct {
 		name   string
@@ -801,10 +832,7 @@ func TestDecodersRejectShortBodies(t *testing.T) {
 			return err
 		}},
 		{"read response", readResp, func(b []byte) error {
-			_, rest, err := decodeReadResponse(b)
-			if err == nil {
-				_, err = decodeEpochTrailer(rest)
-			}
+			_, _, err := decodeReadResponse(b)
 			return err
 		}},
 		{"membership loads", encodeMembershipInfo(MembershipInfo{View: view, Loads: []int64{4, 1}}), func(b []byte) error {
@@ -911,7 +939,7 @@ func TestDirectGetRoundTrip(t *testing.T) {
 		t.Fatalf("direct get round trip = %+v, %v", got, err)
 	}
 	answers := []directAnswer{
-		{status: respView, view: viewOf(4, 9)},
+		{status: respView, wire: encodeView(nil, viewOf(4, 9))},
 		{status: respStaleRoute, epoch: 8, placement: 20},
 		{status: respNotHere},
 	}
@@ -1063,7 +1091,7 @@ func FuzzDecodeDirectGet(f *testing.F) {
 // rejected before allocation.
 func FuzzDecodeDirectAnswers(f *testing.F) {
 	f.Add(encodeDirectAnswers([]directAnswer{
-		{status: respView, view: viewOf(4, 9)},
+		{status: respView, wire: encodeView(nil, viewOf(4, 9))},
 		{status: respStaleRoute, epoch: 8, placement: 20},
 		{status: respNotHere},
 	}, 8))

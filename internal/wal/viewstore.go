@@ -129,8 +129,13 @@ func (vs *ViewStore) apply(r Record) {
 		copy(view[i+1:], view[i:])
 		view[i] = r
 	}
-	if len(view) > vs.viewCap {
-		view = view[len(view)-vs.viewCap:]
+	if over := len(view) - vs.viewCap; over > 0 {
+		// Shift in place and clear the tail: re-slicing past the evicted
+		// records would keep them, payloads included, in the backing
+		// array until its next reallocation.
+		n := copy(view, view[over:])
+		clear(view[n:])
+		view = view[:n]
 	}
 	vs.views[r.User] = view
 	if r.Seq > vs.version[r.User] {

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestAppendReplayRoundTrip(t *testing.T) {
@@ -811,4 +814,46 @@ func TestOpenViewStoreFromSnapshotMismatch(t *testing.T) {
 	if _, _, err := OpenViewStoreFrom(dir, 8, Options{SeqStride: 3}, snap); err == nil {
 		t.Fatal("stride-mismatched snapshot accepted")
 	}
+}
+
+// TestViewStoreEvictionReleasesRecords: a full view evicts its oldest
+// record on every append, and an evicted record (its payload included)
+// must not stay reachable from the view's backing array: after 10 ×
+// viewCap appends to one user, every evicted payload is collected and no
+// slot past the view's length holds a record.
+func TestViewStoreEvictionReleasesRecords(t *testing.T) {
+	const viewCap = 8
+	vs, err := OpenViewStore(t.TempDir(), viewCap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vs.Close()
+	var collected atomic.Int64
+	for i := range 10 * viewCap {
+		// 64-byte payloads: large enough to be their own allocations,
+		// which a finalizer can watch.
+		if _, err := vs.Append(1, int64(i), bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+			t.Fatal(err)
+		}
+		view := vs.views[1]
+		runtime.SetFinalizer(&view[len(view)-1].Payload[0], func(*byte) { collected.Add(1) })
+	}
+	view := vs.views[1]
+	if len(view) != viewCap || view[0].At != 9*viewCap {
+		t.Fatalf("view holds %d records from event %d, want the newest %d", len(view), view[0].At, viewCap)
+	}
+	for i, r := range view[len(view):cap(view)] {
+		if r.Payload != nil {
+			t.Errorf("backing array slot %d past len still holds record %d", len(view)+i, r.Seq)
+		}
+	}
+	const evicted = 9 * viewCap
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < evicted && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := collected.Load(); n != evicted {
+		t.Errorf("%d of %d evicted payloads collected; the rest are still reachable", n, evicted)
+	}
+	runtime.KeepAlive(view)
 }

@@ -34,6 +34,12 @@ import (
 
 // View is a producer-pivoted view: one user's latest events, oldest first,
 // plus a version (the WAL sequence number of the newest event).
+//
+// Events are not copied out of the answers they arrived in: each event a
+// Read returns is a slice of the buffer that read's answer was received
+// into, shared with the other events of that answer. They are read-only,
+// and retaining one event retains its whole answer, so a caller that
+// keeps events for long should copy them.
 type View struct {
 	Version uint64
 	Events  [][]byte
