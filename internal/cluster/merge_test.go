@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
@@ -25,9 +23,8 @@ func putVia(t *testing.T, s *Server, user uint32, v View, placement uint64, limi
 
 // installView installs v on s the way a put of its wire form does.
 func installView(s *Server, user uint32, v View, placement uint64, limit int) {
-	wire := encodeView(nil, v)
-	in, _, _ := decodeView(wire)
-	s.install(user, in, wire, placement, limit)
+	in, _, _ := decodeView(encodeView(nil, v))
+	s.install(user, in, placement, limit)
 }
 
 // lookupView returns user's cached view on s, decoded from its wire form.
@@ -150,11 +147,11 @@ func TestMergeViews(t *testing.T) {
 	}
 }
 
-// TestInstallKeepsOneBuffer pins who owns a cached view's bytes. A put
-// that survives whole is kept as its own view bytes, a slice of the put
-// frame. A merge that mixes the put with the cached copy writes one
-// fresh buffer of exactly the merged size, which holds no reference into
-// either put's frame: scribbling over both frames leaves it intact.
+// TestInstallKeepsOneBuffer pins who owns a cached view's bytes: every
+// install, a put that survives whole as well as a merge that mixes the
+// put with the cached copy, writes one buffer of exactly the merged size
+// that holds no reference into any put's frame, so scribbling over the
+// frames leaves the cached view intact.
 func TestInstallKeepsOneBuffer(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
@@ -162,72 +159,42 @@ func TestInstallKeepsOneBuffer(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 	const user = 5
-	put := func(v View) []byte {
+	var frames [][]byte
+	check := func(what string, want ...uint64) {
+		t.Helper()
+		cv, _ := s.lookup(user)
+		if cap(cv.wire) != len(cv.wire) {
+			t.Errorf("%s: cached bytes have cap %d, want exactly %d", what, cap(cv.wire), len(cv.wire))
+		}
+		for _, frame := range frames {
+			for i := range frame {
+				frame[i] = 0xee
+			}
+		}
+		v := cached(t, s, user)
+		if !slices.Equal(v.seqs, want) {
+			t.Fatalf("%s: cached seqs %v after the put frames were overwritten, want %v", what, v.seqs, want)
+		}
+		for k, seq := range v.seqs {
+			if string(v.Events[k]) != fmt.Sprintf("e%d", seq) {
+				t.Errorf("%s: event of seq %d = %q after the put frames were overwritten", what, seq, v.Events[k])
+			}
+		}
+	}
+	put := func(v View) {
 		body := appendPutMeta(encodeView(binary.LittleEndian.AppendUint32(nil, user), v), 1, 0, 64)
+		frames = append(frames, body)
 		if rt, resp := s.handle(telemetry.TraceContext{}, opPutView, body); rt != respOK {
 			t.Fatalf("put: respType = %d (%q), want respOK", rt, resp)
 		}
-		return body
-	}
-	wire := func() []byte {
-		cv, _ := s.lookup(user)
-		return cv.wire
 	}
 
-	first := put(viewOf(1, 2))
-	if &wire()[0] != &first[4] {
-		t.Error("a put into an empty slot was copied, want the put's own bytes")
-	}
-	second := put(viewOf(2, 3)) // lacks event 1: the union mixes both copies
-	merged := wire()
-	if cap(merged) != len(merged) {
-		t.Errorf("merged bytes: cap %d, want exactly %d", cap(merged), len(merged))
-	}
-	for _, frame := range [][]byte{first, second} {
-		for i := range frame {
-			frame[i] = 0xee
-		}
-	}
-	if v := cached(t, s, user); !slices.Equal(v.seqs, []uint64{1, 2, 3}) || string(v.Events[0]) != "e1" || string(v.Events[2]) != "e3" {
-		t.Errorf("merged view after the put frames were overwritten = %v %q, want [1 2 3] [e1 e2 e3]", v.seqs, v.Events)
-	}
-	third := put(viewOf(1, 2, 3, 4)) // holds the whole union: kept as put
-	if &wire()[0] != &third[4] {
-		t.Error("a put holding the whole union was copied, want the put's own bytes")
-	}
-}
-
-// TestMergeWireMatchesMergeViews: install merges wire bytes by
-// mergeViews' rule, whether it keeps the put's bytes or writes new ones.
-func TestMergeWireMatchesMergeViews(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	randView := func() View {
-		var seqs []uint64
-		for seq := uint64(1); seq <= 10; seq++ {
-			if rng.IntN(2) == 0 {
-				seqs = append(seqs, seq)
-			}
-		}
-		v := viewOf(seqs...)
-		v.Version += uint64(rng.IntN(3)) // a version past the newest event kept
-		return v
-	}
-	for range 3000 {
-		cur, in, limit := randView(), randView(), 1+rng.IntN(8)
-		var curWire []byte
-		if len(cur.seqs) > 0 || cur.Version > 0 {
-			curWire = encodeView(nil, cur)
-		}
-		inWire := encodeView(nil, in)
-		decoded, _, err := decodeView(inWire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := mergeWire(curWire, decoded, inWire, limit)
-		if want := encodeView(nil, mergeViews(cur, in, limit)); !bytes.Equal(got, want) {
-			t.Fatalf("merge %v@%d into %v@%d (limit %d): wire differs from mergeViews", in.seqs, in.Version, cur.seqs, cur.Version, limit)
-		}
-	}
+	put(viewOf(1, 2)) // into an empty slot
+	check("first put", 1, 2)
+	put(viewOf(2, 3)) // lacks event 1: the union mixes both copies
+	check("mixing merge", 1, 2, 3)
+	put(viewOf(1, 2, 3, 4)) // holds the whole union: survives whole
+	check("whole put", 1, 2, 3, 4)
 }
 
 // TestServerGetAllocatesNothing: a get answers with the cached bytes as
@@ -251,10 +218,9 @@ func TestServerGetAllocatesNothing(t *testing.T) {
 }
 
 // TestServerConcurrentPutGet: gets answer with the cached bytes while
-// puts of overlapping views replace them, keeping a put's own bytes or
-// writing fresh ones. Run under -race, it checks that no installed
-// buffer is written again; every answer must decode to events that
-// match their sequence numbers.
+// puts of overlapping views replace them. Run under -race, it checks that
+// no installed buffer is written again; every answer must decode to
+// events that match their sequence numbers.
 func TestServerConcurrentPutGet(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {

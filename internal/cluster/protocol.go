@@ -457,6 +457,26 @@ func decodeView(b []byte) (View, []byte, error) {
 	return v, b, nil
 }
 
+// appendViewWire appends a view already in its wire form — a cache
+// server's cached bytes, which passed decodeViewWire when they were put —
+// to buf as it is.
+func appendViewWire(buf, wire []byte) []byte {
+	return append(buf, wire...)
+}
+
+// decodeViewWire parses a view as decodeView does and also returns its
+// wire form: the slice of b the view was parsed from, capped at its end.
+//
+//dynalint:allow codecpair appendViewWire copies bytes that passed this decoder when they were put, so its fingerprint lacks the CALL(View) this decoder makes
+func decodeViewWire(b []byte) (v View, wire, rest []byte, err error) {
+	v, rest, err = decodeView(b)
+	if err != nil {
+		return View{}, nil, nil, err
+	}
+	end := len(b) - len(rest)
+	return v, b[:end:end], rest, nil
+}
+
 // mergeViews returns the union by sequence number of two copies of one
 // user's view, keeping the newest limit (at least one) events, at the
 // higher of the two versions. The union never duplicates an event and
@@ -467,9 +487,15 @@ func decodeView(b []byte) (View, []byte, error) {
 func mergeViews(cur, in View, limit int) View {
 	version := max(cur.Version, in.Version)
 	// Walk both copies from the newest event down, twice: first to size
-	// the result exactly and to learn whether any of cur's own events are
-	// in it, then to fill it.
-	n, fromCur := mergeSpan(cur.seqs, in.seqs, limit)
+	// the result exactly (a cached view lives long, so slack in it would
+	// be heap) and to learn whether any of cur's own events are in it,
+	// then to fill it.
+	n, i, j, fromCur := 0, len(cur.seqs)-1, len(in.seqs)-1, false
+	for ; n < limit && (i >= 0 || j >= 0); n++ {
+		ni, nj := nextNewest(cur.seqs, in.seqs, i, j)
+		fromCur = fromCur || nj == j
+		i, j = ni, nj
+	}
 	if !fromCur {
 		// The put already holds the union's newest n events — the common
 		// case, a broker's put of a view that grew by one event — so it
@@ -478,7 +504,7 @@ func mergeViews(cur, in View, limit int) View {
 		return View{Version: version, Events: in.Events[k:], seqs: in.seqs[k:]}
 	}
 	v := View{Version: version, Events: make([][]byte, n), seqs: make([]uint64, n)}
-	i, j := len(cur.seqs)-1, len(in.seqs)-1
+	i, j = len(cur.seqs)-1, len(in.seqs)-1
 	for k := n - 1; k >= 0; k-- {
 		if ni, nj := nextNewest(cur.seqs, in.seqs, i, j); nj < j {
 			v.Events[k], v.seqs[k] = in.Events[j], in.seqs[j]
@@ -489,46 +515,6 @@ func mergeViews(cur, in View, limit int) View {
 		}
 	}
 	return v
-}
-
-// mergeSpan walks two ascending seq lists of one user's view from the
-// newest event down, as mergeViews merges them: n is the number of
-// events their union keeps under limit, and fromCur reports whether any
-// of them is held by cur and not by in.
-func mergeSpan(cur, in []uint64, limit int) (n int, fromCur bool) {
-	i, j := len(cur)-1, len(in)-1
-	for ; n < limit && (i >= 0 || j >= 0); n++ {
-		ni, nj := nextNewest(cur, in, i, j)
-		fromCur = fromCur || nj == j
-		i, j = ni, nj
-	}
-	return n, fromCur
-}
-
-// wireSeqs appends the sequence numbers of a view's wire form,
-// oldest first, to dst. b must have passed decodeView: the walk checks
-// nothing. It lets a cache server see which events its cached bytes hold
-// without decoding them.
-func wireSeqs(dst []uint64, b []byte) []uint64 {
-	if len(b) < 10 {
-		return dst
-	}
-	count := int(binary.LittleEndian.Uint16(b[8:10]))
-	b = b[10:]
-	for range count {
-		dst = append(dst, binary.LittleEndian.Uint64(b[0:8]))
-		b = b[12+int(binary.LittleEndian.Uint32(b[8:12])):]
-	}
-	return dst
-}
-
-// wireVersion is the version of a view's wire form; an empty b (no view)
-// is version 0.
-func wireVersion(b []byte) uint64 {
-	if len(b) < 8 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b[0:8])
 }
 
 // nextNewest steps past the newest event not yet taken in a walk down two
@@ -1094,7 +1080,7 @@ func encodeDirectAnswers(answers []directAnswer, epoch uint64) []byte {
 		buf = append(buf, a.status)
 		switch a.status {
 		case respView:
-			buf = append(buf, a.wire...)
+			buf = appendViewWire(buf, a.wire)
 		case respStaleRoute:
 			buf = appendStaleRoute(buf, a.epoch, a.placement)
 		}
@@ -1106,8 +1092,6 @@ func encodeDirectAnswers(answers []directAnswer, epoch uint64) []byte {
 // against the bytes present before allocating (every answer takes at
 // least its status byte); an unknown status, a truncated answer or bytes
 // after the epoch trailer are ErrBadFrame.
-//
-//dynalint:allow codecpair encodeDirectAnswers copies each view's wire bytes in as the cache server holds them (they passed decodeView when put), so its fingerprint lacks the CALL(View) this decoder makes
 func decodeDirectAnswers(b []byte) ([]directAnswer, uint64, error) {
 	if len(b) < 2 {
 		return nil, 0, ErrBadFrame
@@ -1127,11 +1111,11 @@ func decodeDirectAnswers(b []byte) ([]directAnswer, uint64, error) {
 		b = b[1:]
 		switch a.status {
 		case respView:
-			v, rest, err := decodeView(b)
+			v, wire, rest, err := decodeViewWire(b)
 			if err != nil {
 				return nil, 0, err
 			}
-			a.view, a.wire, b = v, b[:len(b)-len(rest)], rest
+			a.view, a.wire, b = v, wire, rest
 		case respStaleRoute:
 			e, pv, err := decodeStaleRoute(b)
 			if err != nil {

@@ -1087,8 +1087,9 @@ func FuzzDecodeDirectGet(f *testing.F) {
 }
 
 // FuzzDecodeDirectAnswers drives the respDirect body codec: whatever
-// decodes must re-encode to exactly the input, and hostile counts must be
-// rejected before allocation.
+// decodes must re-encode to exactly the input, each view's decoded form
+// must re-encode to the wire bytes it was parsed from, and hostile counts
+// must be rejected before allocation.
 func FuzzDecodeDirectAnswers(f *testing.F) {
 	f.Add(encodeDirectAnswers([]directAnswer{
 		{status: respView, wire: encodeView(nil, viewOf(4, 9))},
@@ -1105,6 +1106,11 @@ func FuzzDecodeDirectAnswers(f *testing.F) {
 		}
 		if re := encodeDirectAnswers(answers, epoch); !bytes.Equal(re, data) {
 			t.Fatalf("direct answers round trip mismatch: %x != %x", re, data)
+		}
+		for i, a := range answers {
+			if a.status == respView && !bytes.Equal(encodeView(nil, a.view), a.wire) {
+				t.Fatalf("answer %d: view re-encodes to %x, parsed from %x", i, encodeView(nil, a.view), a.wire)
+			}
 		}
 	})
 }

@@ -19,9 +19,8 @@ const serverShardCount = 32
 
 // cachedView is one cached view: its wire form (see encodeView), which a
 // get answers with as it is, and the placement version the broker stamped
-// on its put — the per-user fencing token direct reads verify. wire is one
-// buffer that is never written after it is installed: the put's own view
-// bytes, a slice of the put's frame, or a fresh buffer install wrote.
+// on its put — the per-user fencing token direct reads verify. wire is a
+// buffer install wrote, and nothing writes into it again.
 type cachedView struct {
 	wire      []byte
 	placement uint64
@@ -108,35 +107,24 @@ func (s *Server) lookup(user uint32) (cachedView, bool) {
 // applied a peer's event — put views that each lack the other's event,
 // and the merge keeps both whatever order the puts land in. The stored
 // placement version only ratchets up — a racing put carrying an older
-// token must not lower the fence. in is the put's view and wire its wire
-// form, the bytes in was decoded from.
-func (s *Server) install(user uint32, in View, wire []byte, placement uint64, limit int) {
+// token must not lower the fence.
+//
+// The merged view is written into one fresh buffer of exactly its size,
+// even when the put survives whole: a slice of the put frame would keep
+// the frame's header and put metadata alive beside every cached view.
+func (s *Server) install(user uint32, in View, placement uint64, limit int) {
 	sh := s.shardOf(user)
 	sh.mu.Lock()
 	cur := sh.views[user]
-	sh.views[user] = cachedView{wire: mergeWire(cur.wire, in, wire, limit), placement: max(placement, cur.placement)}
-	sh.mu.Unlock()
-}
-
-// mergeWire merges a put (in, and its wire form) into the wire form of a
-// cached view, cur, by mergeViews' rule, and returns the merged wire
-// form. When the put survives whole at the higher version — the common
-// case, a broker's put of a view that grew by one event — that is the
-// put's own bytes. Otherwise it is one fresh buffer of exactly the merged
-// view's size, so a cached view never points into two frames.
-func mergeWire(cur []byte, in View, wire []byte, limit int) []byte {
-	var stack [64]uint64
-	n, fromCur := mergeSpan(wireSeqs(stack[:0], cur), in.seqs, limit)
-	if !fromCur && n == len(in.seqs) && in.Version >= wireVersion(cur) {
-		return wire
-	}
 	var curView View
-	if len(cur) > 0 {
-		// cur passed decodeView when it was put, so it decodes again.
-		curView, _, _ = decodeView(cur)
+	if len(cur.wire) > 0 {
+		// The cached bytes passed decodeView when they were put, so they
+		// decode again.
+		curView, _, _ = decodeView(cur.wire)
 	}
 	v := mergeViews(curView, in, limit)
-	return encodeView(make([]byte, 0, viewLen(v)), v)
+	sh.views[user] = cachedView{wire: encodeView(make([]byte, 0, viewLen(v)), v), placement: max(placement, cur.placement)}
+	sh.mu.Unlock()
 }
 
 // noteEpoch ratchets the server's known membership epoch up to e.
@@ -189,8 +177,6 @@ func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		if err != nil {
 			return respError, errorBody(err.Error())
 		}
-		end := len(body) - len(rest)
-		wire := body[4:end:end]
 		// The fencing metadata follows the view; the epoch piggybacking on
 		// every put keeps a busy server fenced correctly even if it missed
 		// an explicit epoch push.
@@ -200,7 +186,7 @@ func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		}
 		sp := s.tel.StartSpan(tc, "server.put")
 		s.noteEpoch(epoch)
-		s.install(user, v, wire, placement, limit)
+		s.install(user, v, placement, limit)
 		sp.Stage("install")
 		sp.End()
 		s.puts.Add(1)
