@@ -62,7 +62,7 @@ func BenchmarkServerParallelGet(b *testing.B) {
 		for pb.Next() {
 			binary.LittleEndian.PutUint32(body, u%users)
 			u += 13
-			if rt, _ := s.handle(telemetry.TraceContext{}, opGetView, body); rt != respView {
+			if resp, err := s.handle(telemetry.TraceContext{}, opGetView, body); err != nil || len(resp) == 0 {
 				bad.Add(1)
 			}
 		}
@@ -95,13 +95,13 @@ func BenchmarkServerParallelMixed(b *testing.B) {
 			u += 13
 			if u%10 == 0 {
 				binary.LittleEndian.PutUint32(putBody[:4], user)
-				if rt, _ := s.handle(telemetry.TraceContext{}, opPutView, putBody); rt != respOK {
+				if _, err := s.handle(telemetry.TraceContext{}, opPutView, putBody); err != nil {
 					bad.Add(1)
 				}
 				continue
 			}
 			binary.LittleEndian.PutUint32(get, user)
-			if rt, _ := s.handle(telemetry.TraceContext{}, opGetView, get); rt != respView {
+			if resp, err := s.handle(telemetry.TraceContext{}, opGetView, get); err != nil || len(resp) == 0 {
 				bad.Add(1)
 			}
 		}

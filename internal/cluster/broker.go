@@ -86,8 +86,6 @@ type BrokerConfig struct {
 	// broker's rack and every other server sits in its own rack of a
 	// remote zone, so the policy concentrates hot views on server 0.
 	Placement *Placement
-	// MaxReplicas bounds a view's replication degree (default 3).
-	MaxReplicas int
 	// PolicyEvery is the interval of the maintenance pass — utility
 	// recomputation, negative-utility eviction, admission-threshold
 	// refresh (default 5s; the live-system analogue of the paper's hourly
@@ -127,9 +125,6 @@ func (c BrokerConfig) withDefaults() BrokerConfig {
 		c.ViewCap = 64
 	}
 	c.ViewCap = min(c.ViewCap, math.MaxUint16)
-	if c.MaxReplicas <= 0 {
-		c.MaxReplicas = 3
-	}
 	if c.PolicyEvery <= 0 {
 		c.PolicyEvery = 5 * time.Second
 	}
@@ -187,6 +182,9 @@ type serverTable struct {
 // serverPoolSize is how many multiplexed connections a broker keeps to
 // each cache server and peer broker.
 const serverPoolSize = 4
+
+// maxReplicas bounds a view's replication degree, the home copy included.
+const maxReplicas = 3
 
 // home returns the slot user's view homes on under this table's epoch.
 func (t *serverTable) home(user uint32) int { return t.view.Home(user) }
@@ -1253,8 +1251,9 @@ func (b *Broker) readRepair(user uint32, idx int, v View) {
 // churn; the commit follows the usual commit-placement-then-fill order —
 // after the set names the server again, the WAL view is re-put, so an
 // event written between probe and commit (which skipped the not-yet-
-// member replica) cannot leave the repaired copy stale. It reports
-// whether the replica set changed.
+// member replica) cannot leave the repaired copy stale. The commit takes
+// the checks a policy create takes: the replication cap and the slot's
+// capacity. It reports whether the replica set changed.
 func (b *Broker) readdReplica(user uint32, idx int, v View) bool {
 	t := b.table()
 	if !t.placeable(idx) {
@@ -1271,7 +1270,11 @@ func (b *Broker) readdReplica(user uint32, idx int, v View) bool {
 	sh := b.shard(user)
 	sh.mu.Lock()
 	meta, ok := sh.views[user]
-	if !ok || meta.reps[idx] != nil || len(meta.order) >= b.cfg.MaxReplicas {
+	if !ok || meta.reps[idx] != nil || len(meta.order) >= maxReplicas ||
+		int(t.load[idx].Load()) >= t.capacity(idx, b.cfg.ServerCapacity) {
+		// The slot may have filled since the copy was dropped (the
+		// leader's creates for other users), and a repair must not push
+		// it past its capacity.
 		sh.mu.Unlock()
 		return false
 	}
@@ -1394,8 +1397,8 @@ func (b *Broker) peerFreshestView(user uint32, floor uint64) (View, bool) {
 		if p == nil || !p.alive.Load() {
 			continue
 		}
-		respType, body, err := p.conn.roundTrip(opViewPull, binary.LittleEndian.AppendUint32(nil, user), telemetry.TraceContext{})
-		if err != nil || respType != respView {
+		body, err := p.conn.roundTrip(opViewPull, binary.LittleEndian.AppendUint32(nil, user), telemetry.TraceContext{})
+		if err != nil {
 			continue
 		}
 		v, _, err := decodeView(body)
@@ -1450,7 +1453,7 @@ func (b *Broker) evaluateLocked(t *serverTable, now int64, meta *viewMeta, view 
 	}
 	env := brokerEnv{b: b, t: t, meta: meta}
 	w := t.pol.WindowOf(rep.log, rep.createdAt, now)
-	if len(meta.order) < b.cfg.MaxReplicas {
+	if len(meta.order) < maxReplicas {
 		if d, ok := t.pol.EvaluateReplication(env, view, serving, w); ok {
 			return d
 		}
@@ -1501,7 +1504,7 @@ func (b *Broker) applyCreate(now int64, user uint32, d viewpolicy.Decision) {
 	sh := b.shard(user)
 	sh.mu.Lock()
 	meta, ok := sh.views[user]
-	if !ok || len(meta.order) >= b.cfg.MaxReplicas || meta.reps[target] != nil ||
+	if !ok || len(meta.order) >= maxReplicas || meta.reps[target] != nil ||
 		int(t.load[target].Load()) >= t.capacity(target, b.cfg.ServerCapacity) {
 		sh.mu.Unlock()
 		return
@@ -1913,7 +1916,7 @@ func (b *Broker) Stats() BrokerStats {
 	return st
 }
 
-func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (uint8, []byte) {
+func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) ([]byte, error) {
 	switch msgType {
 	case opRead:
 		return b.handleRead(tc, body)
@@ -1923,11 +1926,11 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		start := time.Now()
 		resp := appendBrokerStats(nil, b.Stats())
 		b.statsHist.Observe(time.Since(start))
-		return respStats, resp
+		return resp, nil
 	case opLeaseGet:
 		users, err := decodeReadRequest(body)
 		if err != nil {
-			return respError, errorBody("bad lease request")
+			return nil, errors.New("bad lease request")
 		}
 		start := time.Now()
 		grants := make([]Lease, 0, len(users))
@@ -1939,54 +1942,53 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 			}
 		}
 		b.leaseHist.Observe(time.Since(start))
-		return respLease, encodeLeaseGrants(grants)
+		return encodeLeaseGrants(grants), nil
 	case opPlacementPull:
-		return respPlacement, encodePlacementTable(b.placementEntries())
+		return encodePlacementTable(b.placementEntries()), nil
 	case opPlacementBatch:
 		entries, err := decodePlacementTable(body)
 		if err != nil {
-			return respError, errorBody("bad placement batch: " + err.Error())
+			return nil, fmt.Errorf("bad placement batch: %w", err)
 		}
 		for _, e := range entries {
 			b.applyPlacementEntry(e.user, e.order)
 		}
-		return respOK, nil
+		return nil, nil
 	case opAccessReport:
 		sender, reads, writes, err := decodeAccessReport(body)
 		if err != nil || int(sender) >= b.nBrokers || int(sender) == b.selfIdx {
-			return respError, errorBody("bad access report")
+			return nil, errors.New("bad access report")
 		}
 		b.applyAccessReport(int(sender), reads, writes)
-		return respOK, nil
+		return nil, nil
 	case opSyncWrite:
 		user, seq, at, payload, err := decodeSyncWrite(body)
 		if err != nil {
-			return respError, errorBody("bad sync write")
+			return nil, errors.New("bad sync write")
 		}
-		return b.applySyncWrite(user, seq, at, payload, tc)
+		return nil, b.applySyncWrite(user, seq, at, payload, tc)
 	case opMembershipGet:
-		return respMembership, encodeMembershipInfo(b.Membership())
+		return encodeMembershipInfo(b.Membership()), nil
 	case opServerAdd, opServerDrain, opServerRemove:
 		return b.handleAdmin(msgType, body)
 	case opViewPull:
 		if len(body) < 4 {
-			return respError, errorBody("short view pull")
+			return nil, errors.New("short view pull")
 		}
-		return respView, encodeView(nil, b.currentView(binary.LittleEndian.Uint32(body[0:4])))
+		return encodeView(nil, b.currentView(binary.LittleEndian.Uint32(body[0:4]))), nil
 	case opLogCursors:
-		return respLogCursors, encodeLogCursors(b.store.Cursors())
+		return encodeLogCursors(b.store.Cursors()), nil
 	case opLogPull:
 		origin, from, max, err := decodeLogPull(body)
 		if err != nil {
-			return respError, errorBody("bad log pull")
+			return nil, errors.New("bad log pull")
 		}
 		if max == 0 || max > maxPullRecords {
 			max = maxPullRecords
 		}
-		recs := b.store.RecordsAfter(origin, from, int(max), maxPullBytes)
-		return respLogRecords, encodeLogRecords(recs)
+		return encodeLogRecords(b.store.RecordsAfter(origin, from, int(max), maxPullBytes)), nil
 	default:
-		return respError, errorBody("unknown op")
+		return nil, errors.New("unknown op")
 	}
 }
 
@@ -1994,18 +1996,18 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 // sampled requests, fetch the views, and record the op latency. The span's
 // decode/execute/encode stages plus the cache servers' child spans give a
 // sampled read its full breakdown.
-func (b *Broker) handleRead(tc telemetry.TraceContext, body []byte) (uint8, []byte) {
+func (b *Broker) handleRead(tc telemetry.TraceContext, body []byte) ([]byte, error) {
 	start := time.Now()
 	sp := b.tel.StartSpan(tc, "broker.read")
 	defer sp.End()
 	targets, err := decodeReadRequest(body)
 	if err != nil {
-		return respError, errorBody("bad read request: " + err.Error())
+		return nil, fmt.Errorf("bad read request: %w", err)
 	}
 	sp.Stage("decode")
 	views, err := b.readTraced(targets, sp.Context())
 	if err != nil {
-		return respError, errorBodyFor(err)
+		return nil, err
 	}
 	sp.Stage("execute")
 	// The epoch trailer lets clients notice a membership change
@@ -2013,15 +2015,15 @@ func (b *Broker) handleRead(tc telemetry.TraceContext, body []byte) (uint8, []by
 	resp := encodeReadResponse(views, b.Epoch())
 	sp.Stage("encode")
 	b.readHist.Observe(time.Since(start))
-	return respRead, resp
+	return resp, nil
 }
 
 // handleWrite serves one opWrite request; the span's stage breakdown
 // (decode, wal, replicate, fanout, encode) comes partly from writeTraced.
-func (b *Broker) handleWrite(tc telemetry.TraceContext, body []byte) (uint8, []byte) {
+func (b *Broker) handleWrite(tc telemetry.TraceContext, body []byte) ([]byte, error) {
 	start := time.Now()
 	if len(body) < 4 {
-		return respError, errorBody("short write request")
+		return nil, errors.New("short write request")
 	}
 	sp := b.tel.StartSpan(tc, "broker.write")
 	defer sp.End()
@@ -2029,18 +2031,18 @@ func (b *Broker) handleWrite(tc telemetry.TraceContext, body []byte) (uint8, []b
 	sp.Stage("decode")
 	seq, err := b.writeTraced(user, body[4:], sp)
 	if err != nil {
-		return respError, errorBodyFor(err)
+		return nil, err
 	}
 	resp := appendEpochTrailer(binary.LittleEndian.AppendUint64(nil, seq), b.Epoch())
 	sp.Stage("encode")
 	b.writeHist.Observe(time.Since(start))
-	return respWrite, resp
+	return resp, nil
 }
 
 // applySyncWrite applies one replicated event to this broker's log; a
 // sampled origin write leaves a span here, so the trace shows which
 // peers its replication touched.
-func (b *Broker) applySyncWrite(user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext) (uint8, []byte) {
+func (b *Broker) applySyncWrite(user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext) error {
 	start := time.Now()
 	sp := b.tel.StartSpan(tc, "broker.sync_write")
 	p := make([]byte, len(payload))
@@ -2050,30 +2052,31 @@ func (b *Broker) applySyncWrite(user uint32, seq uint64, at int64, payload []byt
 	sp.End()
 	b.syncWriteHist.Observe(time.Since(start))
 	if err != nil {
-		return respError, errorBody("replicate write: " + err.Error())
+		return fmt.Errorf("replicate write: %w", err)
 	}
 	if applied && user == membership.ReservedUser {
 		// A replicated membership transition: install it if newer.
 		b.applyMembershipPayload(p)
 	}
-	return respOK, nil
+	return nil
 }
 
 // handleAdmin executes one membership mutation. Followers forward the
-// request to the leader broker verbatim and relay its answer, so an
-// operator (or dsctl) may point at any broker of the cluster. Successful
-// mutations answer with the new membership view and per-slot loads.
-func (b *Broker) handleAdmin(msgType uint8, body []byte) (uint8, []byte) {
+// request to the leader broker verbatim and relay its answer, an error
+// answer included, so an operator (or dsctl) may point at any broker of
+// the cluster. Successful mutations answer with the new membership view
+// and per-slot loads.
+func (b *Broker) handleAdmin(msgType uint8, body []byte) ([]byte, error) {
 	if !b.IsLeader() {
 		leader := b.peers[b.Leader()]
 		if leader == nil || !leader.alive.Load() {
-			return respError, errorBody("membership change: no reachable leader")
+			return nil, errors.New("membership change: no reachable leader")
 		}
-		respType, respBody, err := leader.conn.roundTrip(msgType, body, telemetry.TraceContext{})
-		if err != nil {
-			return respError, errorBody("forward membership change to leader: " + err.Error())
+		resp, err := leader.conn.roundTrip(msgType, body, telemetry.TraceContext{})
+		if err != nil && !errors.Is(err, ErrRemote) {
+			return nil, fmt.Errorf("forward membership change to leader: %w", err)
 		}
-		return respType, respBody
+		return resp, err
 	}
 	var err error
 	switch msgType {
@@ -2088,9 +2091,9 @@ func (b *Broker) handleAdmin(msgType uint8, body []byte) (uint8, []byte) {
 		_, err = b.RemoveServer(string(body))
 	}
 	if err != nil {
-		return respError, errorBodyFor(err)
+		return nil, err
 	}
-	return respMembership, encodeMembershipInfo(b.Membership())
+	return encodeMembershipInfo(b.Membership()), nil
 }
 
 // Close stops the broker: listener, controller and sync loops, in-flight

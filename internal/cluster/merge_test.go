@@ -16,8 +16,8 @@ import (
 func putVia(t *testing.T, s *Server, user uint32, v View, placement uint64, limit int) {
 	t.Helper()
 	body := appendPutMeta(encodeView(binary.LittleEndian.AppendUint32(nil, user), v), 1, placement, limit)
-	if rt, resp := s.handle(telemetry.TraceContext{}, opPutView, body); rt != respOK {
-		t.Fatalf("put: respType = %d (%q), want respOK", rt, resp)
+	if _, err := s.handle(telemetry.TraceContext{}, opPutView, body); err != nil {
+		t.Fatalf("put: %v", err)
 	}
 }
 
@@ -184,8 +184,8 @@ func TestInstallKeepsOneBuffer(t *testing.T) {
 	put := func(v View) {
 		body := appendPutMeta(encodeView(binary.LittleEndian.AppendUint32(nil, user), v), 1, 0, 64)
 		frames = append(frames, body)
-		if rt, resp := s.handle(telemetry.TraceContext{}, opPutView, body); rt != respOK {
-			t.Fatalf("put: respType = %d (%q), want respOK", rt, resp)
+		if _, err := s.handle(telemetry.TraceContext{}, opPutView, body); err != nil {
+			t.Fatalf("put: %v", err)
 		}
 	}
 
@@ -208,8 +208,8 @@ func TestServerGetAllocatesNothing(t *testing.T) {
 	installView(s, 7, viewOf(1, 2, 3), 0, 64)
 	body := binary.LittleEndian.AppendUint32(nil, 7)
 	allocs := testing.AllocsPerRun(100, func() {
-		if rt, _ := s.handle(telemetry.TraceContext{}, opGetView, body); rt != respView {
-			t.Fatalf("get: respType = %d, want respView", rt)
+		if resp, err := s.handle(telemetry.TraceContext{}, opGetView, body); err != nil || len(resp) == 0 {
+			t.Fatalf("get: %d-byte answer, err %v; want the cached view", len(resp), err)
 		}
 	})
 	if allocs != 0 {
@@ -238,8 +238,8 @@ func TestServerConcurrentPutGet(t *testing.T) {
 				// survive whole, others merge with the cached copy.
 				base := uint64(i + w)
 				body := appendPutMeta(encodeView(binary.LittleEndian.AppendUint32(nil, uint32(i%users)), viewOf(base, base+2, base+3)), 1, 0, 8)
-				if rt, resp := s.handle(telemetry.TraceContext{}, opPutView, body); rt != respOK {
-					t.Errorf("put: respType = %d (%q), want respOK", rt, resp)
+				if _, err := s.handle(telemetry.TraceContext{}, opPutView, body); err != nil {
+					t.Errorf("put: %v", err)
 					return
 				}
 			}
@@ -249,13 +249,16 @@ func TestServerConcurrentPutGet(t *testing.T) {
 			get := make([]byte, 4)
 			for i := range rounds {
 				binary.LittleEndian.PutUint32(get, uint32(i%users))
-				rt, body := s.handle(telemetry.TraceContext{}, opGetView, get)
-				if rt == respMiss {
-					continue
+				body, err := s.handle(telemetry.TraceContext{}, opGetView, get)
+				if err == nil && len(body) == 0 {
+					continue // a miss
 				}
-				v, _, err := decodeView(body)
-				if rt != respView || err != nil {
-					t.Errorf("get: respType %d, err %v", rt, err)
+				var v View
+				if err == nil {
+					v, _, err = decodeView(body)
+				}
+				if err != nil {
+					t.Errorf("get: %v", err)
 					return
 				}
 				for k, seq := range v.seqs {
@@ -278,8 +281,8 @@ func TestRemoveReplicaMergesDroppedCopyIntoSurvivor(t *testing.T) {
 	b, servers, _ := testCluster(t, 2, nil)
 	const user = 7
 	body := encodePlacementTable([]placementEntry{{user: user, order: []int{0, 1}}})
-	if rt, resp := b.handle(telemetry.TraceContext{}, opPlacementBatch, body); rt != respOK {
-		t.Fatalf("respType = %d (%q), want respOK", rt, resp)
+	if _, err := b.handle(telemetry.TraceContext{}, opPlacementBatch, body); err != nil {
+		t.Fatal(err)
 	}
 	installView(servers[0], user, viewOf(5, 6), 0, 64)
 	installView(servers[1], user, viewOf(6), 0, 64)

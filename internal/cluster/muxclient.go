@@ -364,17 +364,35 @@ func (c *Client) pick() *muxConn {
 	return c.conns[c.next.Add(1)%uint64(len(c.conns))]
 }
 
-// do performs one untraced round trip.
-func (c *Client) do(ctx context.Context, msgType uint8, body []byte) (uint8, []byte, error) {
+// answerBody reads the outcome of one round trip: respOK yields its body,
+// respError the remote error it carries, and any other type ErrBadFrame.
+// It is the one place a client looks at an answer's type; the body's
+// layout is fixed by the request's op and checked by that op's decoder.
+func answerBody(msgType uint8, body []byte, err error) ([]byte, error) {
+	switch {
+	case err != nil:
+		return nil, err
+	case msgType == respOK:
+		return body, nil
+	case msgType == respError:
+		return nil, asRemoteError(body)
+	default:
+		return nil, ErrBadFrame
+	}
+}
+
+// do performs one untraced round trip and returns the answer's body.
+func (c *Client) do(ctx context.Context, msgType uint8, body []byte) ([]byte, error) {
 	return c.doTraced(ctx, msgType, body, telemetry.TraceContext{})
 }
 
-// doTraced performs one round trip whose frame carries tc.
-func (c *Client) doTraced(ctx context.Context, msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
+// doTraced performs one round trip whose frame carries tc and returns the
+// answer's body.
+func (c *Client) doTraced(ctx context.Context, msgType uint8, body []byte, tc telemetry.TraceContext) ([]byte, error) {
 	if c.closed.Load() {
-		return 0, nil, net.ErrClosed
+		return nil, net.ErrClosed
 	}
-	return c.pick().do(ctx, msgType, body, tc)
+	return answerBody(c.pick().do(ctx, msgType, body, tc))
 }
 
 // roundTrip performs one round trip on a broker's link to a cache server
@@ -384,9 +402,10 @@ func (c *Client) doTraced(ctx context.Context, msgType uint8, body []byte, tc te
 // restarted since the last request is never reported unreachable. Only
 // idempotent ops go this way — puts merge by sequence number, sync writes
 // apply idempotently, pulls and probes are reads; API requests are never
-// resent. A retired (closed) link reports ErrStaleEpoch: the operation
+// resent. A request that was answered, with an error or not, is not
+// retried. A retired (closed) link reports ErrStaleEpoch: the operation
 // acted under a membership table the broker has since replaced.
-func (c *Client) roundTrip(msgType uint8, body []byte, tc telemetry.TraceContext) (uint8, []byte, error) {
+func (c *Client) roundTrip(msgType uint8, body []byte, tc telemetry.TraceContext) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.callTimeout)
 	defer cancel()
 	m := c.pick()
@@ -402,7 +421,7 @@ func (c *Client) roundTrip(msgType uint8, body []byte, tc telemetry.TraceContext
 	if err != nil && c.closed.Load() {
 		err = fmt.Errorf("cluster: link to %s retired: %w", c.addr, ErrStaleEpoch)
 	}
-	return respType, respBody, err
+	return answerBody(respType, respBody, err)
 }
 
 // serverCallTimeout bounds every broker → cache-server call (dial and
@@ -412,23 +431,15 @@ func (c *Client) roundTrip(msgType uint8, body []byte, tc telemetry.TraceContext
 const serverCallTimeout = 5 * time.Second
 
 // getView fetches a view from a cache server; ok is false on a cache
-// miss. A sampled tc makes the cache server's span join the trace.
+// miss, which the server answers with an empty body. A sampled tc makes
+// the cache server's span join the trace.
 func (c *Client) getView(user uint32, tc telemetry.TraceContext) (View, bool, error) {
-	respType, respBody, err := c.roundTrip(opGetView, binary.LittleEndian.AppendUint32(nil, user), tc)
-	if err != nil {
+	body, err := c.roundTrip(opGetView, binary.LittleEndian.AppendUint32(nil, user), tc)
+	if err != nil || len(body) == 0 {
 		return View{}, false, err
 	}
-	switch respType {
-	case respView:
-		v, _, err := decodeView(respBody)
-		return v, true, err
-	case respMiss:
-		return View{}, false, nil
-	case respError:
-		return View{}, false, asRemoteError(respBody)
-	default:
-		return View{}, false, ErrBadFrame
-	}
+	v, _, err := decodeView(body)
+	return v, err == nil, err
 }
 
 // putView merges a view into a cache server's copy, stamped with the
@@ -439,32 +450,21 @@ func (c *Client) putView(user uint32, v View, epoch, placement uint64, limit int
 	body := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+viewLen(v)+putMetaLen), user)
 	body = encodeView(body, v)
 	body = appendPutMeta(body, epoch, placement, limit)
-	return expectOK(c.roundTrip(opPutView, body, tc))
+	_, err := c.roundTrip(opPutView, body, tc)
+	return err
 }
 
 // pushEpoch teaches a cache server the broker's current membership epoch,
 // so direct reads fence correctly on servers that receive no puts.
 func (c *Client) pushEpoch(epoch uint64) error {
-	return expectOK(c.roundTrip(opEpochPush, binary.LittleEndian.AppendUint64(nil, epoch), telemetry.TraceContext{}))
+	_, err := c.roundTrip(opEpochPush, binary.LittleEndian.AppendUint64(nil, epoch), telemetry.TraceContext{})
+	return err
 }
 
 // deleteView removes a replica from a cache server.
 func (c *Client) deleteView(user uint32) error {
-	return expectOK(c.roundTrip(opDeleteView, binary.LittleEndian.AppendUint32(nil, user), telemetry.TraceContext{}))
-}
-
-// expectOK maps a round trip's outcome to nil for respOK and to an error
-// otherwise.
-func expectOK(respType uint8, respBody []byte, err error) error {
-	switch {
-	case err != nil:
-		return err
-	case respType == respError:
-		return asRemoteError(respBody)
-	case respType != respOK:
-		return ErrBadFrame
-	}
-	return nil
+	_, err := c.roundTrip(opDeleteView, binary.LittleEndian.AppendUint32(nil, user), telemetry.TraceContext{})
+	return err
 }
 
 // Read fetches the views of every user in targets, in order. Requests
@@ -480,7 +480,7 @@ func (c *Client) Read(ctx context.Context, targets []uint32) ([]View, error) {
 		return nil, err
 	}
 	sp.Stage("encode")
-	respType, respBody, err := c.doTraced(ctx, opRead, body, sp.Context())
+	respBody, err := c.doTraced(ctx, opRead, body, sp.Context())
 	if err != nil {
 		return nil, err
 	}
@@ -490,22 +490,15 @@ func (c *Client) Read(ctx context.Context, targets []uint32) ([]View, error) {
 		sp.End()
 		c.readHist.Observe(time.Since(start))
 	}()
-	switch respType {
-	case respRead:
-		views, epoch, err := decodeReadResponse(respBody)
-		if err != nil {
-			return nil, err
-		}
-		if len(views) != len(targets) {
-			return nil, fmt.Errorf("%w: %d views for %d targets", ErrBadFrame, len(views), len(targets))
-		}
-		c.noteEpoch(epoch)
-		return views, nil
-	case respError:
-		return nil, asRemoteError(respBody)
-	default:
-		return nil, ErrBadFrame
+	views, epoch, err := decodeReadResponse(respBody)
+	if err != nil {
+		return nil, err
 	}
+	if len(views) != len(targets) {
+		return nil, fmt.Errorf("%w: %d views for %d targets", ErrBadFrame, len(views), len(targets))
+	}
+	c.noteEpoch(epoch)
+	return views, nil
 }
 
 // Write publishes an event produced by user and returns its sequence number.
@@ -515,7 +508,7 @@ func (c *Client) Write(ctx context.Context, user uint32, payload []byte) (uint64
 	body := binary.LittleEndian.AppendUint32(nil, user)
 	body = append(body, payload...)
 	sp.Stage("encode")
-	respType, respBody, err := c.doTraced(ctx, opWrite, body, sp.Context())
+	respBody, err := c.doTraced(ctx, opWrite, body, sp.Context())
 	if err != nil {
 		return 0, err
 	}
@@ -524,22 +517,15 @@ func (c *Client) Write(ctx context.Context, user uint32, payload []byte) (uint64
 		sp.End()
 		c.writeHist.Observe(time.Since(start))
 	}()
-	switch respType {
-	case respWrite:
-		if len(respBody) < 8 {
-			return 0, ErrBadFrame
-		}
-		epoch, err := decodeEpochTrailer(respBody[8:])
-		if err != nil {
-			return 0, err
-		}
-		c.noteEpoch(epoch)
-		return binary.LittleEndian.Uint64(respBody), nil
-	case respError:
-		return 0, asRemoteError(respBody)
-	default:
+	if len(respBody) < 8 {
 		return 0, ErrBadFrame
 	}
+	epoch, err := decodeEpochTrailer(respBody[8:])
+	if err != nil {
+		return 0, err
+	}
+	c.noteEpoch(epoch)
+	return binary.LittleEndian.Uint64(respBody), nil
 }
 
 // Leases asks the broker for direct-read leases on users: each grant
@@ -554,25 +540,18 @@ func (c *Client) Leases(ctx context.Context, users []uint32) ([]Lease, error) {
 		if err != nil {
 			return nil, err
 		}
-		respType, respBody, err := c.do(ctx, opLeaseGet, body)
+		respBody, err := c.do(ctx, opLeaseGet, body)
 		if err != nil {
 			return nil, err
 		}
-		switch respType {
-		case respLease:
-			ls, err := decodeLeaseGrants(respBody)
-			if err != nil {
-				return nil, err
-			}
-			for _, l := range ls {
-				c.noteEpoch(l.Epoch)
-			}
-			out = append(out, ls...)
-		case respError:
-			return nil, asRemoteError(respBody)
-		default:
-			return nil, ErrBadFrame
+		ls, err := decodeLeaseGrants(respBody)
+		if err != nil {
+			return nil, err
 		}
+		for _, l := range ls {
+			c.noteEpoch(l.Epoch)
+		}
+		out = append(out, ls...)
 		users = users[n:]
 	}
 	return out, nil
@@ -582,26 +561,19 @@ func (c *Client) Leases(ctx context.Context, users []uint32) ([]Lease, error) {
 // server: one answer per request, in order (see directAnswer). Callers
 // keep the batch within MaxBatch.
 func (c *Client) directGet(ctx context.Context, reqs []directGetReq) ([]directAnswer, error) {
-	respType, respBody, err := c.do(ctx, opDirectGet, encodeDirectGet(reqs))
+	respBody, err := c.do(ctx, opDirectGet, encodeDirectGet(reqs))
 	if err != nil {
 		return nil, err
 	}
-	switch respType {
-	case respDirect:
-		answers, epoch, err := decodeDirectAnswers(respBody)
-		if err != nil {
-			return nil, err
-		}
-		c.noteEpoch(epoch)
-		if len(answers) != len(reqs) {
-			return nil, fmt.Errorf("%w: %d direct answers for %d users", ErrBadFrame, len(answers), len(reqs))
-		}
-		return answers, nil
-	case respError:
-		return nil, asRemoteError(respBody)
-	default:
-		return nil, ErrBadFrame
+	answers, epoch, err := decodeDirectAnswers(respBody)
+	if err != nil {
+		return nil, err
 	}
+	c.noteEpoch(epoch)
+	if len(answers) != len(reqs) {
+		return nil, fmt.Errorf("%w: %d direct answers for %d users", ErrBadFrame, len(answers), len(reqs))
+	}
+	return answers, nil
 }
 
 // noteEpoch records the highest membership epoch seen in a response
@@ -645,38 +617,24 @@ func (c *Client) RemoveServer(ctx context.Context, addr string) (MembershipInfo,
 // adminOp runs one request answered with the membership view: a fetch or
 // a membership change.
 func (c *Client) adminOp(ctx context.Context, op uint8, body []byte) (MembershipInfo, error) {
-	respType, respBody, err := c.do(ctx, op, body)
+	respBody, err := c.do(ctx, op, body)
 	if err != nil {
 		return MembershipInfo{}, err
 	}
-	switch respType {
-	case respMembership:
-		info, err := decodeMembershipInfo(respBody)
-		if err == nil {
-			c.noteEpoch(info.View.Epoch)
-		}
-		return info, err
-	case respError:
-		return MembershipInfo{}, asRemoteError(respBody)
-	default:
-		return MembershipInfo{}, ErrBadFrame
+	info, err := decodeMembershipInfo(respBody)
+	if err == nil {
+		c.noteEpoch(info.View.Epoch)
 	}
+	return info, err
 }
 
 // Stats fetches the broker's counters.
 func (c *Client) Stats(ctx context.Context) (BrokerStats, error) {
-	respType, body, err := c.do(ctx, opBrokerStats, nil)
+	body, err := c.do(ctx, opBrokerStats, nil)
 	if err != nil {
 		return BrokerStats{}, err
 	}
-	switch respType {
-	case respStats:
-		return decodeBrokerStats(body)
-	case respError:
-		return BrokerStats{}, asRemoteError(body)
-	default:
-		return BrokerStats{}, ErrBadFrame
-	}
+	return decodeBrokerStats(body)
 }
 
 // Close closes every pooled connection; pending requests fail, those

@@ -182,8 +182,8 @@ func (b *Broker) syncOnce() {
 // connection was down. Stale and malformed views are ignored by the
 // installer.
 func (b *Broker) pullMembership(leader *peerState) {
-	respType, body, err := leader.conn.roundTrip(opMembershipGet, nil, telemetry.TraceContext{})
-	if err != nil || respType != respMembership {
+	body, err := leader.conn.roundTrip(opMembershipGet, nil, telemetry.TraceContext{})
+	if err != nil {
 		return
 	}
 	b.applyMembershipPayload(body)
@@ -226,7 +226,7 @@ func (b *Broker) pushReport(leader *peerState) {
 	clear(b.repReads)
 	clear(b.repWrites)
 	b.reportMu.Unlock()
-	_, _, _ = leader.conn.roundTrip(opAccessReport, encodeAccessReport(uint32(b.selfIdx), reads, writes), telemetry.TraceContext{})
+	_, _ = leader.conn.roundTrip(opAccessReport, encodeAccessReport(uint32(b.selfIdx), reads, writes), telemetry.TraceContext{})
 }
 
 // applyAccessReport folds a follower's interval aggregates into this
@@ -285,8 +285,8 @@ func (b *Broker) applyAccessReport(sender int, reads []reportRead, writes []repo
 // the periodic anti-entropy pass that repairs pushes lost while a
 // connection or broker was down.
 func (b *Broker) pullPlacement(leader *peerState) {
-	respType, body, err := leader.conn.roundTrip(opPlacementPull, nil, telemetry.TraceContext{})
-	if err != nil || respType != respPlacement {
+	body, err := leader.conn.roundTrip(opPlacementPull, nil, telemetry.TraceContext{})
+	if err != nil {
 		return
 	}
 	entries, err := decodePlacementTable(body)
@@ -422,7 +422,7 @@ func (b *Broker) broadcastPlacement(users ...uint32) {
 		chunk := entries[start:min(start+batchEntriesPerFrame, len(entries))]
 		body := encodePlacementTable(chunk)
 		b.broadcast(false, func(p *peerState) {
-			_, _, _ = p.conn.roundTrip(opPlacementBatch, body, telemetry.TraceContext{})
+			_, _ = p.conn.roundTrip(opPlacementBatch, body, telemetry.TraceContext{})
 		})
 	}
 }
@@ -438,7 +438,7 @@ func (b *Broker) broadcastPlacement(users ...uint32) {
 func (b *Broker) broadcastSyncWrite(user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext) {
 	body := encodeSyncWrite(user, seq, at, payload)
 	b.broadcast(true, func(p *peerState) {
-		_, _, _ = p.conn.roundTrip(opSyncWrite, body, tc)
+		_, _ = p.conn.roundTrip(opSyncWrite, body, tc)
 	})
 }
 
@@ -448,12 +448,12 @@ func (b *Broker) broadcastSyncWrite(user uint32, seq uint64, at int64, payload [
 // an answer marks the peer alive, and catchUpFrom then pulls whatever this
 // broker lacks.
 func (b *Broker) probe(p *peerState) {
-	respType, body, err := p.conn.roundTrip(opLogCursors, nil, telemetry.TraceContext{})
+	body, err := p.conn.roundTrip(opLogCursors, nil, telemetry.TraceContext{})
 	var theirs map[uint64]uint64
-	if err == nil && respType == respLogCursors {
+	if err == nil {
 		theirs, err = decodeLogCursors(body)
 	}
-	if theirs == nil || err != nil {
+	if err != nil {
 		if p.misses.Add(1) >= peerDeathThreshold {
 			p.alive.Store(false)
 		}
@@ -481,8 +481,8 @@ func (b *Broker) catchUpFrom(p *peerState, theirs map[uint64]uint64) {
 	for origin, peerMark := range theirs {
 		from := mine[origin]
 		for round := 0; from < peerMark && round < maxPullRounds; round++ {
-			respType, body, err := p.conn.roundTrip(opLogPull, encodeLogPull(origin, from, maxPullRecords), telemetry.TraceContext{})
-			if err != nil || respType != respLogRecords {
+			body, err := p.conn.roundTrip(opLogPull, encodeLogPull(origin, from, maxPullRecords), telemetry.TraceContext{})
+			if err != nil {
 				return
 			}
 			recs, err := decodeLogRecords(body)

@@ -197,8 +197,8 @@ func TestMultiBrokerClusterConvergesAndSurvivesBrokerDeath(t *testing.T) {
 func TestLeaderFailoverElectsNextAndKeepsMigrating(t *testing.T) {
 	brokers, _ := testBrokerCluster(t, 3, 4, func(i int, cfg *BrokerConfig) {
 		// Sole-copy views that migrate toward their dominant front-end
-		// cluster: Algorithm 2 is capped out, Algorithm 3 takes over.
-		cfg.MaxReplicas = 1
+		// cluster: Algorithm 2 is off, Algorithm 3 takes over.
+		cfg.Policy.DisableReplication = true
 		cfg.Policy.DecisionSeconds = 1
 	})
 	for bi, b := range brokers {
@@ -357,8 +357,8 @@ func TestPlacementBatchOfOneChangesReplicaSet(t *testing.T) {
 	b, _, _ := testCluster(t, 3, nil)
 	const user = 7
 	body := encodePlacementTable([]placementEntry{{user: user, order: []int{2, 0}}})
-	if rt, resp := b.handle(telemetry.TraceContext{}, opPlacementBatch, body); rt != respOK {
-		t.Fatalf("respType = %d (%q), want respOK", rt, resp)
+	if _, err := b.handle(telemetry.TraceContext{}, opPlacementBatch, body); err != nil {
+		t.Fatal(err)
 	}
 	if got := b.ReplicaSet(user); !slices.Equal(got, []int{2, 0}) {
 		t.Errorf("replica set = %v, want [2 0]", got)
@@ -385,8 +385,8 @@ func TestMembershipSyncWriteInstallsEpochOnFollower(t *testing.T) {
 	}
 	// Broker 0 mints sequence numbers ≡ 0 mod 2.
 	body := encodeSyncWrite(membership.ReservedUser, 0, time.Now().UnixNano(), membership.AppendView(nil, next))
-	if rt, resp := b.handle(telemetry.TraceContext{}, opSyncWrite, body); rt != respOK {
-		t.Fatalf("respType = %d (%q), want respOK", rt, resp)
+	if _, err := b.handle(telemetry.TraceContext{}, opSyncWrite, body); err != nil {
+		t.Fatal(err)
 	}
 	if got := b.Membership().View; got.Epoch != next.Epoch || got.Servers[1].State != membership.StateDraining {
 		t.Errorf("follower holds epoch %d (server 1 %v), want epoch %d with server 1 draining",
@@ -396,30 +396,30 @@ func TestMembershipSyncWriteInstallsEpochOnFollower(t *testing.T) {
 
 // TestRetiredPeerOpsAreRefused: the op codes protocol 5 retired (the peer
 // hello ping, the one-user placement delta, the membership delta and the
-// membership pull) are answered with respError, and the codes around them
-// kept their values.
+// membership pull) are answered with an error, and the live codes around
+// them kept their values.
 func TestRetiredPeerOpsAreRefused(t *testing.T) {
-	if opPlacementPull != 19 || respMembership != 33 || opPlacementBatch != 34 {
-		t.Fatalf("live op codes moved: %d %d %d", opPlacementPull, respMembership, opPlacementBatch)
+	if opPlacementPull != 19 || opServerRemove != 30 || opPlacementBatch != 34 {
+		t.Fatalf("live op codes moved: %d %d %d", opPlacementPull, opServerRemove, opPlacementBatch)
 	}
 	b, _, _ := testCluster(t, 1, nil)
 	for _, op := range []uint8{17, 18, 31, 32} {
-		if rt, _ := b.handle(telemetry.TraceContext{}, op, make([]byte, 8)); rt != respError {
-			t.Errorf("retired op %d: respType = %d, want respError", op, rt)
+		if _, err := b.handle(telemetry.TraceContext{}, op, make([]byte, 8)); err == nil {
+			t.Errorf("retired op %d answered, want an error", op)
 		}
 	}
 }
 
 // TestRetiredServerStatsOpIsRefused: protocol 6 retired the cache
-// server's stats op (code 4); a server answers it with respError, and the
+// server's stats op (code 4); a server answers it with an error, and the
 // codes around it kept their values.
 func TestRetiredServerStatsOpIsRefused(t *testing.T) {
 	if opDeleteView != 3 || opRead != 5 {
 		t.Fatalf("live op codes moved: %d %d", opDeleteView, opRead)
 	}
 	_, servers, _ := testCluster(t, 1, nil)
-	if rt, _ := servers[0].handle(telemetry.TraceContext{}, 4, nil); rt != respError {
-		t.Errorf("retired op 4: respType = %d, want respError", rt)
+	if _, err := servers[0].handle(telemetry.TraceContext{}, 4, nil); err == nil {
+		t.Error("retired op 4 answered, want an error")
 	}
 }
 

@@ -13,8 +13,12 @@
 // byte's traceFlag bit is set (only sampled requests set it). A connection
 // opens with an opHello frame carrying a magic and the protocol version;
 // after it, requests carry IDs, so many of them multiplex concurrently
-// over one connection. New code should use the public pkg/dynasore
-// package, whose network client wraps this package's Client.
+// over one connection. Every request is answered in one shape: respOK
+// with a body whose layout the request's op fixes (empty for ops that
+// return nothing), or respError with the error's text (see errorBodyFor).
+// The request ID pairs an answer with its request, so no answer names
+// its op again. New code should use the public pkg/dynasore package,
+// whose network client wraps this package's Client.
 package cluster
 
 import (
@@ -44,13 +48,15 @@ const (
 	opRead
 	opWrite
 	opBrokerStats
-	// Responses.
+	// Answers: respOK with the op's body, or respError. respView (with
+	// respStaleRoute and respNotHere below) is a per-user status inside a
+	// direct-read answer, not a frame type.
 	respView
-	respMiss
+	_ // retired: respMiss (a cache miss is respOK with an empty body)
 	respOK
-	respRead
-	respWrite
-	respStats
+	_ // retired: respRead
+	_ // retired: respWrite
+	_ // retired: respStats
 	respError
 	// Connection handshake: the first frame on every connection.
 	opHello
@@ -63,7 +69,7 @@ const (
 	opPlacementPull
 	opAccessReport
 	opSyncWrite
-	respPlacement
+	_ // retired: respPlacement
 	// WAL catch-up between per-broker logs (the durability/recovery
 	// subsystem): a broker asks a peer for its per-origin applied
 	// high-water marks, then pulls exactly the records it missed per
@@ -72,8 +78,8 @@ const (
 	// every peer every sync round, is also the liveness probe.
 	opLogCursors
 	opLogPull
-	respLogCursors
-	respLogRecords
+	_ // retired: respLogCursors
+	_ // retired: respLogRecords
 	// Elastic membership (internal/membership): admin requests to read or
 	// mutate the epoch-versioned cache-server registry (mutations are
 	// forwarded to the leader broker). Transitions reach peers as WAL
@@ -85,16 +91,16 @@ const (
 	opServerRemove
 	_ // retired: opMembershipDelta (the transition's opSyncWrite installs it)
 	_ // retired: opMembershipPull (followers poll with opMembershipGet)
-	respMembership
+	_ // retired: respMembership
 	// opPlacementBatch pushes placement entries to a peer (the
 	// encodePlacementTable layout): one user's new replica set after a
 	// policy decision, or a rebalance or drain pass's whole outcome in
 	// O(1) round trips per peer.
 	opPlacementBatch
 	// Direct-read fast path: a client asks the broker to lease a list of
-	// users' replica sets in one request (opLeaseGet → respLease, one
+	// users' replica sets in one request (opLeaseGet, answered with one
 	// grant per leasable user), then reads the views of every leased user
-	// a cache server holds in one request (opDirectGet → respDirect). Two
+	// a cache server holds in one request (opDirectGet). Two
 	// fencing tokens ride every user of a direct read — the membership
 	// epoch and the user's placement version — and the server answers
 	// each user on its own: respView with the view, respStaleRoute when
@@ -106,24 +112,23 @@ const (
 	opLeaseGet
 	opDirectGet
 	opEpochPush
-	respLease
+	_ // retired: respLease
 	respStaleRoute
 	respNotHere
 
 	// opViewPull asks a peer broker for its persistent store's view of one
-	// user (4-byte little-endian user id → respView). Every acknowledged
-	// write reaches its origin broker's store before the ack, so the max
-	// over live peers' answers is a floor no cache fill may go below.
+	// user (4-byte little-endian user id → an encoded view). Every
+	// acknowledged write reaches its origin broker's store before the ack,
+	// so the max over live peers' answers is a floor no cache fill may go
+	// below.
 	opViewPull
 
-	// respDirect answers an opDirectGet: one status per requested user,
-	// in request order, then the server's epoch (encodeDirectAnswers).
-	respDirect
+	_ // retired: respDirect
 )
 
 // protoVersion is the one protocol version a hello may name; any other
 // is refused with ErrBadVersion.
-const protoVersion = 7
+const protoVersion = 8
 
 // traceFlag in a frame's type byte means a 17-byte trace context (see
 // internal/telemetry) follows the request ID. Op codes stay below it.
@@ -250,19 +255,20 @@ func clientHello(conn net.Conn) error {
 	}
 }
 
-// handlerFunc executes one request and returns the response frame's type
-// and body. tc is the request's trace context (zero when unsampled). body
-// is the request frame's own buffer, which the handler may keep but not
-// write into; the response body is only read, so it may be bytes the
-// handler keeps too. It must be safe for concurrent use: requests are
-// dispatched in parallel.
-type handlerFunc func(tc telemetry.TraceContext, msgType uint8, body []byte) (uint8, []byte)
+// handlerFunc executes one request and returns the answer's body or an
+// error; serveFrames turns either into the response frame. tc is the
+// request's trace context (zero when unsampled). body is the request
+// frame's own buffer, which the handler may keep but not write into; the
+// answer body is only read, so it may be bytes the handler keeps too. It
+// must be safe for concurrent use: requests are dispatched in parallel.
+type handlerFunc func(tc telemetry.TraceContext, msgType uint8, body []byte) ([]byte, error)
 
 // serveFrames drives one accepted connection. The first frame must be a
 // valid opHello, or the connection is closed without running the handler.
 // After it, requests are dispatched concurrently (bounded by maxInflight)
 // and responses serialized by a write mutex, each tagged with the ID of
-// the request it answers.
+// the request it answers: respOK with the handler's body, or respError
+// with its error. No other code writes either type.
 func serveFrames(conn net.Conn, handle handlerFunc) {
 	hello, err := readFrame(conn)
 	if err != nil || hello.msgType != opHello {
@@ -291,9 +297,14 @@ func serveFrames(conn net.Conn, handle handlerFunc) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			respType, respBody := handle(req.tc, req.msgType, req.body)
+			resp := frame{msgType: respOK, id: req.id}
+			if body, err := handle(req.tc, req.msgType, req.body); err != nil {
+				resp.msgType, resp.body = respError, errorBodyFor(err)
+			} else {
+				resp.body = body
+			}
 			wmu.Lock()
-			err := writeFrame(conn, frame{msgType: respType, id: req.id, body: respBody})
+			err := writeFrame(conn, resp)
 			wmu.Unlock()
 			if err != nil {
 				conn.Close() // unblocks the read loop
@@ -336,7 +347,7 @@ func decodeReadRequest(body []byte) ([]uint32, error) {
 	return targets, nil
 }
 
-// encodeReadResponse builds a respRead body: uint32(count) | count × view
+// encodeReadResponse builds an opRead answer: uint32(count) | count × view
 // | uint64(epoch), the broker's membership epoch (see appendEpochTrailer).
 // The body is sized once: it carries a whole feed's views, and growing it
 // view by view would copy the answer again at every growth.
@@ -352,7 +363,7 @@ func encodeReadResponse(views []View, epoch uint64) []byte {
 	return appendEpochTrailer(out, epoch)
 }
 
-// decodeReadResponse parses a respRead body: the views and the broker's
+// decodeReadResponse parses an opRead answer: the views and the broker's
 // membership epoch that follows them.
 func decodeReadResponse(body []byte) ([]View, uint64, error) {
 	if len(body) < 4 {
@@ -568,7 +579,7 @@ func decodePlacementEntry(b []byte) (placementEntry, []byte, error) {
 	return e, b[2*n:], nil
 }
 
-// encodePlacementTable builds an opPlacementBatch or respPlacement body:
+// encodePlacementTable builds an opPlacementBatch body or opPlacementPull answer:
 // uint32(count) followed by that many placement entries.
 func encodePlacementTable(entries []placementEntry) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(entries)))
@@ -578,7 +589,7 @@ func encodePlacementTable(entries []placementEntry) []byte {
 	return buf
 }
 
-// decodePlacementTable parses an opPlacementBatch or respPlacement body.
+// decodePlacementTable parses an opPlacementBatch body or opPlacementPull answer.
 // The count is validated against the smallest possible entry size before
 // any allocation, and bytes past the last entry are rejected.
 func decodePlacementTable(body []byte) ([]placementEntry, error) {
@@ -702,7 +713,7 @@ func decodeSyncWrite(body []byte) (user uint32, seq uint64, at int64, payload []
 	return user, seq, at, body[20:], nil
 }
 
-// encodeLogCursors builds a respLogCursors body: the responder's
+// encodeLogCursors builds an opLogCursors answer: the responder's
 // per-origin applied cursors (exclusive high-water marks: one past the
 // highest applied sequence number), sorted by origin:
 // uint32(n) | n × { uint64 origin, uint64 cursor }.
@@ -720,7 +731,7 @@ func encodeLogCursors(cursors map[uint64]uint64) []byte {
 	return buf
 }
 
-// decodeLogCursors parses a respLogCursors body, validating the count
+// decodeLogCursors parses an opLogCursors answer, validating the count
 // against the bytes present before allocating. Only the encoder's form is
 // accepted: exactly count pairs, origins strictly ascending.
 func decodeLogCursors(body []byte) (map[uint64]uint64, error) {
@@ -766,10 +777,10 @@ func decodeLogPull(body []byte) (origin, from uint64, max uint32, err error) {
 }
 
 // logRecordOverhead is the fixed wire size of one record in a
-// respLogRecords body, before its payload.
+// opLogPull answer, before its payload.
 const logRecordOverhead = 8 + 4 + 8 + 4
 
-// encodeLogRecords builds a respLogRecords body:
+// encodeLogRecords builds an opLogPull answer:
 // uint32(n) | n × { uint64 seq, uint32 user, uint64 at, uint32 len, payload }.
 func encodeLogRecords(recs []wal.Record) []byte {
 	size := 4
@@ -788,7 +799,7 @@ func encodeLogRecords(recs []wal.Record) []byte {
 	return buf
 }
 
-// decodeLogRecords parses a respLogRecords body. Payloads alias the frame
+// decodeLogRecords parses an opLogPull answer. Payloads alias the frame
 // buffer, which readFrame allocates per frame — retaining them is safe.
 func decodeLogRecords(body []byte) ([]wal.Record, error) {
 	if len(body) < 4 {
@@ -823,14 +834,14 @@ func decodeLogRecords(body []byte) ([]wal.Record, error) {
 
 // MembershipInfo pairs a broker's current membership view with its
 // per-slot replica counts (Loads[i] is how many views the broker accounts
-// to slot i) — the payload of a respMembership body. Loads let an operator
+// to slot i) — the answer to opMembershipGet and to a membership change. Loads let an operator
 // watch a draining server's replica count fall to zero before removing it.
 type MembershipInfo struct {
 	View  membership.View
 	Loads []int64
 }
 
-// encodeMembershipInfo builds a respMembership body: the encoded view
+// encodeMembershipInfo builds the answer to an admin op: the encoded view
 // followed by one u64 load per slot, slot-aligned.
 func encodeMembershipInfo(info MembershipInfo) []byte {
 	buf := membership.AppendView(nil, info.View)
@@ -844,7 +855,7 @@ func encodeMembershipInfo(info MembershipInfo) []byte {
 	return buf
 }
 
-// decodeMembershipInfo parses a respMembership body; the loads must cover
+// decodeMembershipInfo parses the answer to an admin op; the loads must cover
 // every slot.
 func decodeMembershipInfo(body []byte) (MembershipInfo, error) {
 	v, rest, err := membership.DecodeView(body)
@@ -862,7 +873,7 @@ func decodeMembershipInfo(body []byte) (MembershipInfo, error) {
 }
 
 // appendEpochTrailer appends the responder's membership epoch to a
-// respRead, respWrite or direct-read respView body, after the structured
+// read, write or direct-read answer, after the structured
 // payload; clients use it to notice a membership change without an extra
 // round trip.
 func appendEpochTrailer(body []byte, epoch uint64) []byte {
@@ -904,7 +915,7 @@ type Lease struct {
 // count is a uint16, and 256 views keep an answer far below maxFrame.
 const MaxBatch = 256
 
-// encodeLeaseGrants builds a respLease body: uint32(n) | n × grant
+// encodeLeaseGrants builds an opLeaseGet answer: uint32(n) | n × grant
 // (appendLeaseGrant). Each grant names its user; a requested user the
 // broker could not lease is left out. (An opLeaseGet body is a user list
 // in the opRead layout, encodeReadRequest.)
@@ -916,7 +927,7 @@ func encodeLeaseGrants(ls []Lease) []byte {
 	return buf
 }
 
-// decodeLeaseGrants parses a respLease body. The count is checked against
+// decodeLeaseGrants parses an opLeaseGet answer. The count is checked against
 // the bytes present before allocating, and nothing may follow the last
 // grant.
 func decodeLeaseGrants(b []byte) ([]Lease, error) {
@@ -1059,7 +1070,7 @@ type directAnswer struct {
 	epoch, placement uint64
 }
 
-// encodeDirectAnswers builds a respDirect body: uint16(n) | n ×
+// encodeDirectAnswers builds an opDirectGet answer: uint16(n) | n ×
 // { uint8(status) | view (respView) or stale-route tokens
 // (respStaleRoute) or nothing (respNotHere) } | uint64(epoch) — the
 // answering server's membership epoch.
@@ -1088,7 +1099,7 @@ func encodeDirectAnswers(answers []directAnswer, epoch uint64) []byte {
 	return appendEpochTrailer(buf, epoch)
 }
 
-// decodeDirectAnswers parses a respDirect body. The count is checked
+// decodeDirectAnswers parses an opDirectGet answer. The count is checked
 // against the bytes present before allocating (every answer takes at
 // least its status byte); an unknown status, a truncated answer or bytes
 // after the epoch trailer are ErrBadFrame.
@@ -1181,7 +1192,7 @@ func decodePutMeta(b []byte) (epoch, placement uint64, limit int, err error) {
 	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]), limit, nil
 }
 
-// appendBrokerStats encodes the respStats body of a broker: eleven fixed
+// appendBrokerStats encodes a broker's opBrokerStats answer: eleven fixed
 // 8-byte counters in wire order, paired with decodeBrokerStats.
 func appendBrokerStats(b []byte, st BrokerStats) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.Reads))
@@ -1198,7 +1209,7 @@ func appendBrokerStats(b []byte, st BrokerStats) []byte {
 	return b
 }
 
-// decodeBrokerStats parses a broker's respStats body.
+// decodeBrokerStats parses a broker's opBrokerStats answer.
 func decodeBrokerStats(body []byte) (BrokerStats, error) {
 	if len(body) < 88 {
 		return BrokerStats{}, ErrBadFrame
@@ -1217,9 +1228,6 @@ func decodeBrokerStats(body []byte) (BrokerStats, error) {
 		LeaseGrants:       int64(binary.LittleEndian.Uint64(body[80:88])),
 	}, nil
 }
-
-// errorBody builds a respError payload.
-func errorBody(msg string) []byte { return []byte(msg) }
 
 // wireErrs maps the sentinel errors that keep their identity across the
 // wire to one-byte codes. A coded respError body is "!<code> <message>";
@@ -1243,27 +1251,38 @@ var wireErrs = []struct {
 // errorBodyFor builds a respError payload from an error, prefixing the
 // code of the first matching wire sentinel so the remote client can
 // reconstruct it. Errors matching no sentinel travel as their plain text.
+// A remote error relayed as it came (a follower forwarding its leader's
+// answer) travels as the remote's own message, so the client sees it once.
 func errorBodyFor(err error) []byte {
+	msg := err.Error()
+	if re, ok := err.(*remoteError); ok {
+		msg = re.msg
+	}
 	for _, we := range wireErrs {
 		if errors.Is(err, we.err) {
-			return append([]byte{'!', we.code, ' '}, err.Error()...)
+			return append([]byte{'!', we.code, ' '}, msg...)
 		}
 	}
-	return []byte(err.Error())
+	return []byte(msg)
 }
 
 // remoteError is a respError decoded from the wire: it renders as the
-// remote's message and unwraps to both ErrRemote and the sentinel named by
-// the body's code, so errors.Is(err, cluster.ErrNotLeader) holds on the
-// client exactly as it does in-process.
+// remote's message and unwraps to ErrRemote and, when the body carried a
+// code, to the sentinel it names, so errors.Is(err, cluster.ErrNotLeader)
+// holds on the client exactly as it does in-process.
 type remoteError struct {
-	sentinel error
+	sentinel error // nil for an uncoded body
 	msg      string
 }
 
 func (e *remoteError) Error() string { return "cluster: remote error: " + e.msg }
 
-func (e *remoteError) Unwrap() []error { return []error{ErrRemote, e.sentinel} }
+func (e *remoteError) Unwrap() []error {
+	if e.sentinel == nil {
+		return []error{ErrRemote}
+	}
+	return []error{ErrRemote, e.sentinel}
+}
 
 // asRemoteError converts a respError payload into an error, reattaching
 // the coded sentinel when the body carries one.
@@ -1278,5 +1297,5 @@ func asRemoteError(body []byte) error {
 		// An unknown code: surface the text untouched.
 		msg = msg[3:]
 	}
-	return fmt.Errorf("%w: %s", ErrRemote, msg)
+	return &remoteError{msg: msg}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -29,7 +30,7 @@ func listenOn(t *testing.T, addr string) net.Listener {
 }
 
 // standIn holds a stopped broker's address until the test restarts it:
-// every connection gets the hello, then respError for each request, and
+// every connection gets the hello, then an error answer to each request, and
 // the sync writes among them are counted, so a test can wait until a
 // batch sent during an outage has failed for good instead of reaching the
 // restarted broker late.
@@ -50,13 +51,13 @@ func standIn(t *testing.T, addr string) *refusals {
 			}
 			r.conns[conn] = true
 			r.mu.Unlock()
-			go serveFrames(conn, func(_ telemetry.TraceContext, msgType uint8, body []byte) (uint8, []byte) {
+			go serveFrames(conn, func(_ telemetry.TraceContext, msgType uint8, body []byte) ([]byte, error) {
 				if msgType == opSyncWrite {
 					r.mu.Lock()
 					r.syncWrites++
 					r.mu.Unlock()
 				}
-				return respError, errorBody("broker down")
+				return nil, errors.New("broker down")
 			})
 		}
 	}()
@@ -500,7 +501,6 @@ func TestRestartedServerKeepsReplica(t *testing.T) {
 func TestReadRepairReinstallsRestartedReplica(t *testing.T) {
 	b, servers, _ := testCluster(t, 3, func(cfg *BrokerConfig) {
 		cfg.Placement = rackLocal(2, 3)
-		cfg.MaxReplicas = 3
 		cfg.PolicyEvery = time.Hour
 		cfg.Policy.AdmissionEpsilon = 100
 	})
@@ -553,5 +553,38 @@ func TestReadRepairReinstallsRestartedReplica(t *testing.T) {
 	}
 	if rv.Version != v.Version || len(rv.Events) != 1 {
 		t.Fatalf("repaired copy = %+v, want %+v", rv, v)
+	}
+}
+
+// TestReadRepairRespectsCapacity: a read repair re-admits a copy only
+// where a policy create could place one. A slot that filled while the
+// copy was out of the set (the leader's creates for other users) stays at
+// its capacity, and the user's replica set is left as it is.
+func TestReadRepairRespectsCapacity(t *testing.T) {
+	b, _, _ := testCluster(t, 2, func(cfg *BrokerConfig) {
+		cfg.ServerCapacity = 1
+		cfg.PolicyEvery = time.Hour
+	})
+	full, other := userHomedOn(t, b, 0), userHomedOn(t, b, 1)
+	for _, u := range []uint32{full, other} {
+		if _, err := b.Write(u, []byte("post")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.Membership().Loads[0]; got != 1 {
+		t.Fatalf("slot 0 holds %d views, want 1 (at capacity)", got)
+	}
+	v, err := b.ReadOne(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.readdReplica(other, 0, v) {
+		t.Error("read repair re-admitted a copy onto a slot at capacity")
+	}
+	if got := b.Membership().Loads[0]; got != 1 {
+		t.Errorf("slot 0 holds %d views after the repair, want 1", got)
+	}
+	if got := b.ReplicaSet(other); len(got) != 1 || got[0] != 1 {
+		t.Errorf("replica set = %v, want [1]", got)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -148,11 +149,13 @@ func (s *Server) drop(user uint32) {
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.srv.ln.Addr().String() }
 
-func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (uint8, []byte) {
+// handle serves one request. A get of a user the server does not hold
+// answers with an empty body: an encoded view is never empty.
+func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) ([]byte, error) {
 	switch msgType {
 	case opGetView:
 		if len(body) < 4 {
-			return respError, errorBody("short get")
+			return nil, errors.New("short get")
 		}
 		start := time.Now()
 		user := binary.LittleEndian.Uint32(body[0:4])
@@ -163,26 +166,26 @@ func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		s.getHist.Observe(time.Since(start))
 		if !ok {
 			s.misses.Add(1)
-			return respMiss, nil
+			return nil, nil
 		}
 		s.hits.Add(1)
-		return respView, v.wire
+		return v.wire, nil
 	case opPutView:
 		if len(body) < 4 {
-			return respError, errorBody("short put")
+			return nil, errors.New("short put")
 		}
 		start := time.Now()
 		user := binary.LittleEndian.Uint32(body[0:4])
 		v, rest, err := decodeView(body[4:])
 		if err != nil {
-			return respError, errorBody(err.Error())
+			return nil, err
 		}
 		// The fencing metadata follows the view; the epoch piggybacking on
 		// every put keeps a busy server fenced correctly even if it missed
 		// an explicit epoch push.
 		epoch, placement, limit, err := decodePutMeta(rest)
 		if err != nil {
-			return respError, errorBody(err.Error())
+			return nil, err
 		}
 		sp := s.tel.StartSpan(tc, "server.put")
 		s.noteEpoch(epoch)
@@ -191,11 +194,11 @@ func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		sp.End()
 		s.puts.Add(1)
 		s.putHist.Observe(time.Since(start))
-		return respOK, nil
+		return nil, nil
 	case opDirectGet:
 		reqs, err := decodeDirectGet(body)
 		if err != nil {
-			return respError, errorBody("bad direct get")
+			return nil, errors.New("bad direct get")
 		}
 		start := time.Now()
 		se := s.epoch.Load()
@@ -205,22 +208,22 @@ func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		}
 		resp := encodeDirectAnswers(answers, se)
 		s.directHist.Observe(time.Since(start))
-		return respDirect, resp
+		return resp, nil
 	case opEpochPush:
 		if len(body) < 8 {
-			return respError, errorBody("short epoch push")
+			return nil, errors.New("short epoch push")
 		}
 		s.noteEpoch(binary.LittleEndian.Uint64(body[0:8]))
-		return respOK, nil
+		return nil, nil
 	case opDeleteView:
 		if len(body) < 4 {
-			return respError, errorBody("short delete")
+			return nil, errors.New("short delete")
 		}
 		user := binary.LittleEndian.Uint32(body[0:4])
 		s.drop(user)
-		return respOK, nil
+		return nil, nil
 	default:
-		return respError, errorBody("unknown op")
+		return nil, errors.New("unknown op")
 	}
 }
 

@@ -55,7 +55,7 @@ func TestErrorBodyPlainAndUnknownCodes(t *testing.T) {
 		t.Errorf("unknown code = %v", got)
 	}
 	// A message that merely starts with '!' is not mistaken for a code.
-	got = asRemoteError(errorBody("!! not a code"))
+	got = asRemoteError([]byte("!! not a code"))
 	if got.Error() != "cluster: remote error: !! not a code" {
 		t.Errorf("bang-prefixed text = %v", got)
 	}

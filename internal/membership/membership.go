@@ -273,7 +273,7 @@ const maxAddrLen = 1 << 10
 //
 // The same bytes serve as the WAL record payload under ReservedUser
 // (replicated to peers as an ordinary log record) and the prefix of a
-// respMembership body.
+// broker's answer to a membership request.
 func AppendView(buf []byte, v View) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, v.Epoch)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(v.Servers)))
