@@ -439,7 +439,7 @@ func (c *Client) getView(user uint32, tc telemetry.TraceContext) (View, bool, er
 		return View{}, false, err
 	}
 	v, _, err := decodeView(body)
-	return v, err == nil, err
+	return v, true, err
 }
 
 // putView merges a view into a cache server's copy, stamped with the
