@@ -45,8 +45,8 @@ func TestAnswerOfUnknownTypeIsBadFrame(t *testing.T) {
 				if err != nil {
 					return
 				}
-				go serveFrames(retypedConn{conn, typ}, func(telemetry.TraceContext, uint8, []byte) ([]byte, error) {
-					return []byte("body"), nil
+				go serveFrames(retypedConn{conn, typ}, func(telemetry.TraceContext, uint8, []byte) ([][]byte, error) {
+					return [][]byte{[]byte("body")}, nil
 				})
 			}
 		}()

@@ -48,9 +48,11 @@ func benchServer(b *testing.B, users uint32) *Server {
 	return s
 }
 
-// BenchmarkServerParallelGet measures concurrent view gets against one
-// cache server (run with -cpu 8): with the hash-sharded view map,
-// concurrent readers no longer serialize on a single RWMutex.
+// BenchmarkServerParallelGet measures concurrent one-user view gets
+// against one cache server (run with -cpu 8): with the hash-sharded view
+// map, concurrent readers no longer serialize on a single RWMutex. A hit
+// answers with the count and length header and the cached view's own
+// buffer; no view byte is copied.
 func BenchmarkServerParallelGet(b *testing.B) {
 	const users = 4096
 	s := benchServer(b, users)
@@ -62,7 +64,7 @@ func BenchmarkServerParallelGet(b *testing.B) {
 		for pb.Next() {
 			binary.LittleEndian.PutUint32(body, u%users)
 			u += 13
-			if resp, err := s.handle(telemetry.TraceContext{}, opGetView, body); err != nil || len(resp) == 0 {
+			if resp, err := s.handle(telemetry.TraceContext{}, opGetView, body); err != nil || len(resp) != 2 {
 				bad.Add(1)
 			}
 		}
@@ -101,7 +103,7 @@ func BenchmarkServerParallelMixed(b *testing.B) {
 				continue
 			}
 			binary.LittleEndian.PutUint32(get, user)
-			if resp, err := s.handle(telemetry.TraceContext{}, opGetView, get); err != nil || len(resp) == 0 {
+			if resp, err := s.handle(telemetry.TraceContext{}, opGetView, get); err != nil || len(resp) != 2 {
 				bad.Add(1)
 			}
 		}
@@ -145,27 +147,52 @@ func BenchmarkClusterRead(b *testing.B) {
 }
 
 // BenchmarkBrokerFanoutRead measures one broker read of 3 users, each
-// homed on a different cache server and holding 16 events of 512 bytes,
-// over loopback. The view bytes cross each server's answer, the broker's
-// decode and answer, and the client's decode; with -benchmem it shows
-// what those hops allocate per read.
+// holding 16 events of 512 bytes, over loopback: homed on 3 different
+// cache servers (spread) or all on one (one-server). The broker sends
+// one get frame to each server that holds some of the users, so the
+// read costs 3 frames spread and 1 on one server (get-frames/read). The
+// view bytes cross each server's answer and the client's decode;
+// -benchmem shows what the hops allocate per read.
 func BenchmarkBrokerFanoutRead(b *testing.B) {
-	br, c := benchClusterSetup(b)
-	targets := make([]uint32, 3)
-	payload := make([]byte, 512)
-	for i := range targets {
-		targets[i] = userHomedOn(b, br, i)
-		for range 16 {
-			if _, err := c.Write(targets[i], payload); err != nil {
+	gets := telemetry.Default().Histogram("dynasore_server_op_seconds", "Cache-server op latency.", "op", "get")
+	for _, c := range []struct {
+		name string
+		home func(i int) int
+	}{
+		{"spread", func(i int) int { return i }},
+		{"one-server", func(int) int { return 0 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			br, cl := benchClusterSetup(b)
+			var targets []uint32
+			for u := uint32(0); len(targets) < 3; u++ {
+				if u == 10_000 {
+					b.Fatalf("found %d of 3 users among 10000", len(targets))
+				}
+				if br.HomeOf(u) == c.home(len(targets)) {
+					targets = append(targets, u)
+				}
+			}
+			payload := make([]byte, 512)
+			for _, u := range targets {
+				for range 16 {
+					if _, err := cl.Write(u, payload); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if _, err := cl.Read(targets); err != nil { // fill the caches
 				b.Fatal(err)
 			}
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Read(targets); err != nil {
-			b.Fatal(err)
-		}
+			b.ReportAllocs()
+			b.ResetTimer()
+			before := gets.Count()
+			for i := 0; i < b.N; i++ {
+				if _, err := cl.Read(targets); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(gets.Count()-before)/float64(b.N), "get-frames/read")
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1105,85 +1106,125 @@ func (b *Broker) currentView(user uint32) View {
 	return v
 }
 
-// ReadOne fetches a single view from the replica closest to this broker,
-// filling the cache from the persistent store on a miss and recording the
-// access in the view's window. The placement-policy leader evaluates and
-// applies a placement change inline; followers aggregate the access into
-// their next report to the leader instead.
+// ReadOne fetches a single view: a Read of one user.
 func (b *Broker) ReadOne(user uint32) (View, error) {
-	return b.readOneTraced(user, telemetry.TraceContext{})
+	views, _, err := b.readTraced([]uint32{user}, telemetry.TraceContext{})
+	if err != nil {
+		return View{}, err
+	}
+	return views[0], nil
 }
 
-// readOneTraced is ReadOne carrying a trace context; sampled reads
-// propagate it to the serving cache server so its span joins the trace.
-func (b *Broker) readOneTraced(user uint32, tc telemetry.TraceContext) (View, error) {
-	if user == membership.ReservedUser {
-		return View{}, ErrReservedUser
-	}
-	t := b.table()
-	now := time.Now().Unix()
-	leader := b.IsLeader()
+// readPlan is one user's share of a Read, fixed under its shard lock
+// before any view is fetched: the slot that serves it (-1 when every
+// replica lives on a slot this table does not know), the placement
+// decision the access produced on the policy leader, and the replica set
+// to fall back on.
+type readPlan struct {
+	user      uint32
+	idx       int
+	decision  viewpolicy.Decision
+	fallbacks []int
+}
+
+// planRead records one access to user on the replica closest to this
+// broker and plans its read. The placement-policy leader evaluates the
+// access inline (the decision is applied once the view is served);
+// followers aggregate it into their next report to the leader instead.
+func (b *Broker) planRead(t *serverTable, now int64, leader bool, user uint32) readPlan {
 	sh := b.shard(user)
 	sh.mu.Lock()
 	meta := b.metaLocked(t, sh, user, now)
 	view := b.viewStateLocked(t, meta)
 	serving := t.topo.ClosestOf(b.self, view.Replicas)
 	if serving == topology.NoMachine {
-		// Every replica lives on a slot this table does not know — a
-		// transient cross-epoch race. Serve straight from the WAL; the
-		// stranded-placement repair below re-homes the user.
 		sh.mu.Unlock()
-		b.misses.Add(1)
-		b.rehomeStranded(user)
-		return b.currentView(user), nil
+		return readPlan{user: user, idx: -1}
 	}
-	idx := b.serverIdxOf(serving)
-	rep := meta.reps[idx]
+	p := readPlan{user: user, idx: b.serverIdxOf(serving), fallbacks: append([]int(nil), meta.order...)}
+	rep := meta.reps[p.idx]
 	rep.log.RecordRead(now, t.topo.OriginOf(serving, b.self))
-	var decision viewpolicy.Decision
 	if leader {
-		decision = b.evaluateLocked(t, now, meta, view, serving, rep)
+		p.decision = b.evaluateLocked(t, now, meta, view, serving, rep)
 	}
-	fallbacks := append([]int(nil), meta.order...)
 	sh.mu.Unlock()
 	if !leader {
-		b.noteRead(user, idx)
+		b.noteRead(user, p.idx)
 	}
+	return p
+}
 
-	v, err := b.readReplica(t, user, idx, tc)
+// readGroup is the users of one Read that one cache server serves: its
+// slot and the users' positions in the Read.
+type readGroup struct {
+	idx int
+	at  []int
+}
+
+// fetchGroup fetches the views of g's users from its slot in one get and
+// settles each: views[i] and wires[i] receive the view of the Read's
+// i-th target and its wire form. The get and its settling act under the
+// table current when they start; a slot the membership retired since
+// the plan has no connection in it, and its users fall back.
+func (b *Broker) fetchGroup(now int64, g readGroup, plans []readPlan, views []View, wires [][]byte, tc telemetry.TraceContext) {
+	t := b.table()
+	users := make([]uint32, len(g.at))
+	for k, i := range g.at {
+		users[k] = plans[i].user
+	}
+	got, gotWires, err := b.getViews(t, g.idx, users, tc)
+	for k, i := range g.at {
+		var v View
+		var w []byte
+		if err == nil {
+			v, w = got[k], gotWires[k]
+		}
+		views[i], wires[i] = b.settleRead(t, now, plans[i], v, w, err, tc)
+	}
+}
+
+// settleRead finishes one user's read from what its serving slot
+// answered: v and its wire form (nil for a miss), or the get's error. A
+// miss is filled and a lagging copy repaired (see checkCached). A failed
+// slot never fails the read: the user's other replicas are tried, and
+// the WAL serves as a last resort (crash recovery, §3.3). Then the
+// placement decision the access produced is applied.
+func (b *Broker) settleRead(t *serverTable, now int64, p readPlan, v View, wire []byte, err error, tc telemetry.TraceContext) (View, []byte) {
+	if err == nil {
+		v, wire, err = b.checkCached(t, p.user, p.idx, v, wire)
+	}
 	if err != nil {
 		// The serving replica is unreachable: drop it, try the remaining
-		// replicas, and as a last resort serve straight from the WAL
-		// (crash recovery, §3.3) — a dead cache server never fails reads.
-		b.dropReplicas(user, []int{idx})
+		// replicas, and as a last resort serve straight from the WAL.
+		b.dropReplicas(p.user, []int{p.idx})
 		recovered := false
-		for _, alt := range fallbacks {
-			if alt == idx {
+		for _, alt := range p.fallbacks {
+			if alt == p.idx {
 				continue
 			}
-			if av, aerr := b.readReplica(t, user, alt, tc); aerr == nil {
-				v, recovered = av, true
+			if av, aw, aerr := b.readReplica(t, p.user, alt, tc); aerr == nil {
+				v, wire, recovered = av, aw, true
 				break
 			}
-			b.dropReplicas(user, []int{alt})
+			b.dropReplicas(p.user, []int{alt})
 		}
 		if !recovered {
 			b.misses.Add(1)
-			v = b.currentView(user)
+			v, wire = b.currentView(p.user), nil
 			// If every replica sits on a dead slot (a lazy home minted
 			// under a pre-remove table — the one placement purgeServer
 			// could not see), reset the entry so the next access re-homes
 			// it on a live server.
-			b.rehomeStranded(user)
+			b.rehomeStranded(p.user)
 		}
 		// Read-repair: the view was served despite the failed replica, so
 		// offer it back to that server in the background — a transient
 		// blip (restart, dropped connection) heals at read time instead
 		// of waiting for the policy tick to notice the lost copy.
-		b.readRepair(user, idx, v)
+		b.readRepair(p.user, p.idx, v)
 	}
-	b.applyDecision(now, user, idx, decision)
-	return v, nil
+	b.applyDecision(now, p.user, p.idx, p.decision)
+	return v, wire
 }
 
 // leaseTTL bounds how long a direct-read lease stays valid on a client
@@ -1253,7 +1294,11 @@ func (b *Broker) readRepair(user uint32, idx int, v View) {
 // event written between probe and commit (which skipped the not-yet-
 // member replica) cannot leave the repaired copy stale. The commit takes
 // the checks a policy create takes: the replication cap and the slot's
-// capacity. It reports whether the replica set changed.
+// capacity. A copy the commit refuses is deleted from the server again,
+// unless another path made the slot a member meanwhile: left there, it
+// would sit outside every replica set and every slot's load, where
+// ServerCapacity no longer bounds it. It reports whether the replica set
+// changed.
 func (b *Broker) readdReplica(user uint32, idx int, v View) bool {
 	t := b.table()
 	if !t.placeable(idx) {
@@ -1270,12 +1315,20 @@ func (b *Broker) readdReplica(user uint32, idx int, v View) bool {
 	sh := b.shard(user)
 	sh.mu.Lock()
 	meta, ok := sh.views[user]
-	if !ok || meta.reps[idx] != nil || len(meta.order) >= maxReplicas ||
-		int(t.load[idx].Load()) >= t.capacity(idx, b.cfg.ServerCapacity) {
+	if ok && meta.reps[idx] != nil {
+		// Another path admitted the copy since it was dropped; the probe
+		// merged into a member's copy.
+		sh.mu.Unlock()
+		return false
+	}
+	if !ok || len(meta.order) >= maxReplicas || int(t.load[idx].Load()) >= t.capacity(idx, b.cfg.ServerCapacity) {
 		// The slot may have filled since the copy was dropped (the
 		// leader's creates for other users), and a repair must not push
-		// it past its capacity.
+		// it past its capacity. Should a racing admission make the slot a
+		// member before the delete lands, its copy is refilled on the
+		// next miss.
 		sh.mu.Unlock()
+		_ = conn.deleteView(user)
 		return false
 	}
 	meta.order = append(meta.order, idx)
@@ -1320,20 +1373,36 @@ func (b *Broker) rehomeStranded(user uint32) {
 	delete(sh.views, user)
 }
 
-// readReplica fetches user's view from server idx, refilling the cache from
-// the persistent store on a miss. A sampled trace context rides the get so
-// the cache server's span joins the trace.
-func (b *Broker) readReplica(t *serverTable, user uint32, idx int, tc telemetry.TraceContext) (View, error) {
+// getViews fetches the views of users from server idx in one get; a
+// sampled trace context rides it so the cache server's span joins the
+// trace. wires[i] is nil for a miss.
+func (b *Broker) getViews(t *serverTable, idx int, users []uint32, tc telemetry.TraceContext) ([]View, [][]byte, error) {
 	conn := t.conn(idx)
 	if conn == nil {
-		return View{}, fmt.Errorf("no connection to %s", t.label(idx))
+		return nil, nil, fmt.Errorf("no connection to %s", t.label(idx))
 	}
-	v, ok, err := conn.getView(user, tc)
+	return conn.getViews(users, tc)
+}
+
+// readReplica fetches user's view from server idx alone and settles it as
+// checkCached does.
+func (b *Broker) readReplica(t *serverTable, user uint32, idx int, tc telemetry.TraceContext) (View, []byte, error) {
+	views, wires, err := b.getViews(t, idx, []uint32{user}, tc)
 	if err != nil {
-		return View{}, err
+		return View{}, nil, err
 	}
+	return b.checkCached(t, user, idx, views[0], wires[0])
+}
+
+// checkCached settles what server idx answered for user: v and its wire
+// form, or a nil wire for a miss. A miss is refilled from the freshest
+// view this broker can prove; a copy behind this broker's store is
+// served from that view and repaired in place. The wire form returned is
+// nil when the view served is not the one the server answered with.
+func (b *Broker) checkCached(t *serverTable, user uint32, idx int, v View, wire []byte) (View, []byte, error) {
+	conn := t.conn(idx)
 	switch {
-	case !ok:
+	case wire == nil:
 		b.misses.Add(1)
 		v = b.freshestView(t, user, b.ReplicaSet(user))
 		if pv, found := b.peerFreshestView(user, v.Version); found {
@@ -1343,8 +1412,9 @@ func (b *Broker) readReplica(t *serverTable, user uint32, idx int, tc telemetry.
 			v = pv
 		}
 		if err := conn.putView(user, v, t.view.Epoch, b.pvOf(user), b.cfg.ViewCap, telemetry.TraceContext{}); err != nil {
-			return View{}, fmt.Errorf("cache fill on %s: %w", t.label(idx), err)
+			return View{}, nil, fmt.Errorf("cache fill on %s: %w", t.label(idx), err)
 		}
+		return v, nil, nil
 	case v.Version < b.store.Version(user):
 		// The cached copy lags this broker's own store: a write acknowledged
 		// elsewhere missed this replica (placement divergence during churn,
@@ -1353,8 +1423,9 @@ func (b *Broker) readReplica(t *serverTable, user uint32, idx int, tc telemetry.
 		// cannot outlive this read.
 		v = b.freshestView(t, user, b.ReplicaSet(user))
 		_ = conn.putView(user, v, t.view.Epoch, b.pvOf(user), b.cfg.ViewCap, telemetry.TraceContext{})
+		return v, nil, nil
 	}
-	return v, nil
+	return v, wire, nil
 }
 
 // freshestView returns the freshest view of user this broker can prove: its
@@ -1697,62 +1768,64 @@ func removeLocked(meta *viewMeta, idx int) {
 	meta.pv++
 }
 
-// readFanout caps how many views of one Read(u, L) are fetched in parallel.
-const readFanout = 8
-
 // Read implements Read(u, L): fetch the views of every user in targets.
-// Targets are fetched concurrently (bounded by readFanout) since each view
-// may live on a different cache server.
 func (b *Broker) Read(targets []uint32) ([]View, error) {
-	return b.readTraced(targets, telemetry.TraceContext{})
+	views, _, err := b.readTraced(targets, telemetry.TraceContext{})
+	return views, err
 }
 
-// readTraced is Read carrying a trace context into every per-target
-// fetch. The context is a value, safe to share across the fanout
-// goroutines (each cache server starts its own child span from it).
-func (b *Broker) readTraced(targets []uint32, tc telemetry.TraceContext) ([]View, error) {
-	out := make([]View, len(targets))
-	if len(targets) <= 1 {
-		for i, u := range targets {
-			v, err := b.readOneTraced(u, tc)
-			if err != nil {
-				return nil, fmt.Errorf("read view %d: %w", u, err)
-			}
-			out[i] = v
+// readTraced is Read carrying a trace context into every get. Each
+// target is planned under its shard lock first (see planRead). Then each
+// cache server serving some of them is asked for all of its users in one
+// get — the first on the caller's goroutine, every other on its own —
+// and each user's answer is settled (see settleRead). wires[i] is the
+// wire form of views[i] when the view is a cache server's bytes as they
+// arrived, nil when the broker built it.
+func (b *Broker) readTraced(targets []uint32, tc telemetry.TraceContext) ([]View, [][]byte, error) {
+	for _, u := range targets {
+		if u == membership.ReservedUser {
+			return nil, nil, fmt.Errorf("read view %d: %w", u, ErrReservedUser)
 		}
-		b.reads.Add(1)
-		return out, nil
 	}
-	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, readFanout)
-		errMu    sync.Mutex
-		firstErr error
-	)
+	t := b.table()
+	now := time.Now().Unix()
+	leader := b.IsLeader()
+	plans := make([]readPlan, len(targets))
+	views, wires := make([]View, len(targets)), make([][]byte, len(targets))
+	groups := make([]readGroup, 0, min(len(targets), len(t.conns)))
 	for i, u := range targets {
-		sem <- struct{}{}
+		plans[i] = b.planRead(t, now, leader, u)
+		idx := plans[i].idx
+		if idx < 0 {
+			// Every replica lives on a slot this table does not know — a
+			// transient cross-epoch race. Serve straight from the WAL and
+			// re-home the user.
+			b.misses.Add(1)
+			b.rehomeStranded(u)
+			views[i] = b.currentView(u)
+			continue
+		}
+		g := slices.IndexFunc(groups, func(g readGroup) bool { return g.idx == idx })
+		if g < 0 {
+			g = len(groups)
+			groups = append(groups, readGroup{idx: idx})
+		}
+		groups[g].at = append(groups[g].at, i)
+	}
+	var wg sync.WaitGroup
+	for _, g := range groups[min(1, len(groups)):] {
 		wg.Add(1)
-		go func(i int, u uint32) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			v, err := b.readOneTraced(u, tc)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("read view %d: %w", u, err)
-				}
-				errMu.Unlock()
-				return
-			}
-			out[i] = v
-		}(i, u)
+			b.fetchGroup(now, g, plans, views, wires, tc)
+		}()
+	}
+	if len(groups) > 0 {
+		b.fetchGroup(now, groups[0], plans, views, wires, tc)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	b.reads.Add(1)
-	return out, nil
+	return views, wires, nil
 }
 
 // maintainLoop periodically runs the shared policy's maintenance pass, the
@@ -1916,7 +1989,7 @@ func (b *Broker) Stats() BrokerStats {
 	return st
 }
 
-func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) ([]byte, error) {
+func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) ([][]byte, error) {
 	switch msgType {
 	case opRead:
 		return b.handleRead(tc, body)
@@ -1926,7 +1999,7 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		start := time.Now()
 		resp := appendBrokerStats(nil, b.Stats())
 		b.statsHist.Observe(time.Since(start))
-		return resp, nil
+		return [][]byte{resp}, nil
 	case opLeaseGet:
 		users, err := decodeReadRequest(body)
 		if err != nil {
@@ -1942,9 +2015,9 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 			}
 		}
 		b.leaseHist.Observe(time.Since(start))
-		return encodeLeaseGrants(grants), nil
+		return [][]byte{encodeLeaseGrants(grants)}, nil
 	case opPlacementPull:
-		return encodePlacementTable(b.placementEntries()), nil
+		return [][]byte{encodePlacementTable(b.placementEntries())}, nil
 	case opPlacementBatch:
 		entries, err := decodePlacementTable(body)
 		if err != nil {
@@ -1968,16 +2041,16 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		}
 		return nil, b.applySyncWrite(user, seq, at, payload, tc)
 	case opMembershipGet:
-		return encodeMembershipInfo(b.Membership()), nil
+		return [][]byte{encodeMembershipInfo(b.Membership())}, nil
 	case opServerAdd, opServerDrain, opServerRemove:
 		return b.handleAdmin(msgType, body)
 	case opViewPull:
 		if len(body) < 4 {
 			return nil, errors.New("short view pull")
 		}
-		return encodeView(nil, b.currentView(binary.LittleEndian.Uint32(body[0:4]))), nil
+		return [][]byte{encodeView(nil, b.currentView(binary.LittleEndian.Uint32(body[0:4])))}, nil
 	case opLogCursors:
-		return encodeLogCursors(b.store.Cursors()), nil
+		return [][]byte{encodeLogCursors(b.store.Cursors())}, nil
 	case opLogPull:
 		origin, from, max, err := decodeLogPull(body)
 		if err != nil {
@@ -1986,7 +2059,7 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 		if max == 0 || max > maxPullRecords {
 			max = maxPullRecords
 		}
-		return encodeLogRecords(b.store.RecordsAfter(origin, from, int(max), maxPullBytes)), nil
+		return [][]byte{encodeLogRecords(b.store.RecordsAfter(origin, from, int(max), maxPullBytes))}, nil
 	default:
 		return nil, errors.New("unknown op")
 	}
@@ -1996,7 +2069,7 @@ func (b *Broker) handle(tc telemetry.TraceContext, msgType uint8, body []byte) (
 // sampled requests, fetch the views, and record the op latency. The span's
 // decode/execute/encode stages plus the cache servers' child spans give a
 // sampled read its full breakdown.
-func (b *Broker) handleRead(tc telemetry.TraceContext, body []byte) ([]byte, error) {
+func (b *Broker) handleRead(tc telemetry.TraceContext, body []byte) ([][]byte, error) {
 	start := time.Now()
 	sp := b.tel.StartSpan(tc, "broker.read")
 	defer sp.End()
@@ -2005,14 +2078,21 @@ func (b *Broker) handleRead(tc telemetry.TraceContext, body []byte) ([]byte, err
 		return nil, fmt.Errorf("bad read request: %w", err)
 	}
 	sp.Stage("decode")
-	views, err := b.readTraced(targets, sp.Context())
+	views, wires, err := b.readTraced(targets, sp.Context())
 	if err != nil {
 		return nil, err
 	}
 	sp.Stage("execute")
-	// The epoch trailer lets clients notice a membership change
-	// without polling.
-	resp := encodeReadResponse(views, b.Epoch())
+	// Views the cache servers answered with go out as the bytes they
+	// arrived in; only a view the broker built (a miss fill, a repair,
+	// the WAL) is encoded. The epoch trailer lets clients notice a
+	// membership change without polling.
+	for i, w := range wires {
+		if w == nil {
+			wires[i] = encodeView(make([]byte, 0, viewLen(views[i])), views[i])
+		}
+	}
+	resp := encodeReadResponse(wires, b.Epoch())
 	sp.Stage("encode")
 	b.readHist.Observe(time.Since(start))
 	return resp, nil
@@ -2020,7 +2100,7 @@ func (b *Broker) handleRead(tc telemetry.TraceContext, body []byte) ([]byte, err
 
 // handleWrite serves one opWrite request; the span's stage breakdown
 // (decode, wal, replicate, fanout, encode) comes partly from writeTraced.
-func (b *Broker) handleWrite(tc telemetry.TraceContext, body []byte) ([]byte, error) {
+func (b *Broker) handleWrite(tc telemetry.TraceContext, body []byte) ([][]byte, error) {
 	start := time.Now()
 	if len(body) < 4 {
 		return nil, errors.New("short write request")
@@ -2036,7 +2116,7 @@ func (b *Broker) handleWrite(tc telemetry.TraceContext, body []byte) ([]byte, er
 	resp := appendEpochTrailer(binary.LittleEndian.AppendUint64(nil, seq), b.Epoch())
 	sp.Stage("encode")
 	b.writeHist.Observe(time.Since(start))
-	return resp, nil
+	return [][]byte{resp}, nil
 }
 
 // applySyncWrite applies one replicated event to this broker's log; a
@@ -2066,7 +2146,7 @@ func (b *Broker) applySyncWrite(user uint32, seq uint64, at int64, payload []byt
 // answer included, so an operator (or dsctl) may point at any broker of
 // the cluster. Successful mutations answer with the new membership view
 // and per-slot loads.
-func (b *Broker) handleAdmin(msgType uint8, body []byte) ([]byte, error) {
+func (b *Broker) handleAdmin(msgType uint8, body []byte) ([][]byte, error) {
 	if !b.IsLeader() {
 		leader := b.peers[b.Leader()]
 		if leader == nil || !leader.alive.Load() {
@@ -2076,7 +2156,7 @@ func (b *Broker) handleAdmin(msgType uint8, body []byte) ([]byte, error) {
 		if err != nil && !errors.Is(err, ErrRemote) {
 			return nil, fmt.Errorf("forward membership change to leader: %w", err)
 		}
-		return resp, err
+		return [][]byte{resp}, err
 	}
 	var err error
 	switch msgType {
@@ -2093,7 +2173,7 @@ func (b *Broker) handleAdmin(msgType uint8, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeMembershipInfo(b.Membership()), nil
+	return [][]byte{encodeMembershipInfo(b.Membership())}, nil
 }
 
 // Close stops the broker: listener, controller and sync loops, in-flight

@@ -197,23 +197,57 @@ func TestInstallKeepsOneBuffer(t *testing.T) {
 	check("whole put", 1, 2, 3, 4)
 }
 
-// TestServerGetAllocatesNothing: a get answers with the cached bytes as
-// they are, so serving one allocates nothing.
-func TestServerGetAllocatesNothing(t *testing.T) {
+// getFrameAllocs is what serving one get frame allocates, whatever the
+// number of users it names: the answer's header and its list of slices.
+const getFrameAllocs = 2
+
+// getBody is an opGetView request naming users.
+func getBody(users ...uint32) []byte {
+	var body []byte
+	for _, u := range users {
+		body = binary.LittleEndian.AppendUint32(body, u)
+	}
+	return body
+}
+
+// TestServerGetCopiesNoViewBytes: a get answers with the cached bytes as
+// they are. Every view slice of the answer aliases the buffer the server
+// keeps, and a get frame allocates the same few bookkeeping objects
+// whether it names 1 user or 64.
+func TestServerGetCopiesNoViewBytes(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	installView(s, 7, viewOf(1, 2, 3), 0, 64)
-	body := binary.LittleEndian.AppendUint32(nil, 7)
-	allocs := testing.AllocsPerRun(100, func() {
-		if resp, err := s.handle(telemetry.TraceContext{}, opGetView, body); err != nil || len(resp) == 0 {
-			t.Fatalf("get: %d-byte answer, err %v; want the cached view", len(resp), err)
+	users := make([]uint32, 64)
+	for i := range users {
+		users[i] = uint32(7 + i)
+		installView(s, users[i], viewOf(1, 2, uint64(3+i)), 0, 64)
+	}
+	for _, n := range []int{1, 64} {
+		body := getBody(users[:n]...)
+		resp, err := s.handle(telemetry.TraceContext{}, opGetView, body)
+		if err != nil || len(resp) != 1+n {
+			t.Fatalf("%d users: %d answer slices, err %v; want a header and %d views", n, len(resp), err, n)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("opGetView: %.1f allocs per get, want 0", allocs)
+		for i, u := range users[:n] {
+			cv, _ := s.lookup(u)
+			if w := resp[1+i]; len(w) != len(cv.wire) || &w[0] != &cv.wire[0] {
+				t.Errorf("%d users: view of user %d is not the cached buffer", n, u)
+			}
+		}
+		if _, _, err := decodeGetViews(joined(resp)); err != nil {
+			t.Errorf("%d users: answer does not decode: %v", n, err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if resp, err := s.handle(telemetry.TraceContext{}, opGetView, body); err != nil || len(resp) != 1+n {
+				t.Fatalf("get: %d answer slices, err %v", len(resp), err)
+			}
+		})
+		if allocs != getFrameAllocs {
+			t.Errorf("%d users: %.1f allocs per get frame, want %d", n, allocs, getFrameAllocs)
+		}
 	}
 }
 
@@ -228,6 +262,7 @@ func TestServerConcurrentPutGet(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 	const users, rounds = 4, 300
+	all := []uint32{0, 1, 2, 3}
 	var wg sync.WaitGroup
 	for w := range 4 {
 		wg.Add(2)
@@ -246,25 +281,27 @@ func TestServerConcurrentPutGet(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			get := make([]byte, 4)
 			for i := range rounds {
-				binary.LittleEndian.PutUint32(get, uint32(i%users))
-				body, err := s.handle(telemetry.TraceContext{}, opGetView, get)
-				if err == nil && len(body) == 0 {
-					continue // a miss
+				// One user, or all of them in one frame.
+				get := getBody(all[i%users])
+				if i%2 == 1 {
+					get = getBody(all...)
 				}
-				var v View
+				resp, err := s.handle(telemetry.TraceContext{}, opGetView, get)
+				var views []View
 				if err == nil {
-					v, _, err = decodeView(body)
+					views, _, err = decodeGetViews(joined(resp))
 				}
 				if err != nil {
 					t.Errorf("get: %v", err)
 					return
 				}
-				for k, seq := range v.seqs {
-					if string(v.Events[k]) != fmt.Sprintf("e%d", seq) {
-						t.Errorf("event of seq %d = %q", seq, v.Events[k])
-						return
+				for _, v := range views {
+					for k, seq := range v.seqs {
+						if string(v.Events[k]) != fmt.Sprintf("e%d", seq) {
+							t.Errorf("event of seq %d = %q", seq, v.Events[k])
+							return
+						}
 					}
 				}
 			}

@@ -323,7 +323,7 @@ func (m *muxConn) do(ctx context.Context, msgType uint8, body []byte, tc telemet
 	}
 
 	m.wmu.Lock()
-	err := writeFrame(conn, frame{msgType: msgType, id: id, tc: tc, body: body})
+	err := writeFrame(conn, msgType, id, tc, body)
 	m.wmu.Unlock()
 	if err != nil {
 		m.fail(gen, err)
@@ -430,16 +430,34 @@ func (c *Client) roundTrip(msgType uint8, body []byte, tc telemetry.TraceContext
 // instead of blocking it forever.
 const serverCallTimeout = 5 * time.Second
 
-// getView fetches a view from a cache server; ok is false on a cache
-// miss, which the server answers with an empty body. A sampled tc makes
-// the cache server's span join the trace.
+// getViews fetches the views of users from a cache server in one frame:
+// views[i] and wires[i] are the i-th user's view and the slice of the
+// answer it was parsed from, or a zero View and a nil wire on a miss. A
+// sampled tc makes the cache server's span join the trace.
+func (c *Client) getViews(users []uint32, tc telemetry.TraceContext) ([]View, [][]byte, error) {
+	req := make([]byte, 0, 4*len(users))
+	for _, u := range users {
+		req = binary.LittleEndian.AppendUint32(req, u)
+	}
+	body, err := c.roundTrip(opGetView, req, tc)
+	if err != nil {
+		return nil, nil, err
+	}
+	views, wires, err := decodeGetViews(body)
+	if err == nil && len(views) != len(users) {
+		err = fmt.Errorf("%w: %d views for %d users", ErrBadFrame, len(views), len(users))
+	}
+	return views, wires, err
+}
+
+// getView fetches one user's view from a cache server; ok is false on a
+// cache miss.
 func (c *Client) getView(user uint32, tc telemetry.TraceContext) (View, bool, error) {
-	body, err := c.roundTrip(opGetView, binary.LittleEndian.AppendUint32(nil, user), tc)
-	if err != nil || len(body) == 0 {
+	views, wires, err := c.getViews([]uint32{user}, tc)
+	if err != nil {
 		return View{}, false, err
 	}
-	v, _, err := decodeView(body)
-	return v, true, err
+	return views[0], wires[0] != nil, nil
 }
 
 // putView merges a view into a cache server's copy, stamped with the

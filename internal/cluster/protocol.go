@@ -39,7 +39,9 @@ import (
 // Message types of the wire protocol. Values are part of the wire format:
 // append, never reorder, and stay below traceFlag.
 const (
-	// Broker <-> cache server.
+	// Broker <-> cache server. opGetView names a list of users and is
+	// answered with each one's cached view, or a miss, in one frame (see
+	// encodeGetViews).
 	opGetView uint8 = iota + 1
 	opPutView
 	opDeleteView
@@ -128,7 +130,7 @@ const (
 
 // protoVersion is the one protocol version a hello may name; any other
 // is refused with ErrBadVersion.
-const protoVersion = 8
+const protoVersion = 9
 
 // traceFlag in a frame's type byte means a 17-byte trace context (see
 // internal/telemetry) follows the request ID. Op codes stay below it.
@@ -166,27 +168,33 @@ type frame struct {
 	body    []byte
 }
 
-// writeFrame sends one frame. A sampled trace context sets traceFlag and
-// rides behind the request ID; an unsampled one costs no bytes. Header and
-// body go out in one write (writev on a TCP connection).
-func writeFrame(w io.Writer, f frame) error {
-	if f.msgType&traceFlag != 0 {
+// writeFrame sends one frame whose body is the concatenation of body's
+// slices. A sampled trace context sets traceFlag and rides behind the
+// request ID; an unsampled one costs no bytes. Header and body go out in
+// one write (writev on a TCP connection), so a gathered answer's slices
+// are sent from where they lie, never copied into one buffer.
+func writeFrame(w io.Writer, msgType uint8, id uint64, tc telemetry.TraceContext, body ...[]byte) error {
+	if msgType&traceFlag != 0 {
 		return ErrBadFrame
 	}
 	var hdr [frameHeaderLen + telemetry.TraceContextLen]byte
-	n, msgType := frameHeaderLen, f.msgType
-	if f.tc.Sampled() {
-		telemetry.AppendTraceContext(hdr[frameHeaderLen:frameHeaderLen], f.tc)
+	n := frameHeaderLen
+	if tc.Sampled() {
+		telemetry.AppendTraceContext(hdr[frameHeaderLen:frameHeaderLen], tc)
 		n, msgType = len(hdr), msgType|traceFlag
 	}
-	size := n - 4 + len(f.body)
+	size := n - 4
+	for _, b := range body {
+		size += len(b)
+	}
 	if size > maxFrame {
 		return ErrFrameTooLarge
 	}
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(size))
 	hdr[4] = msgType
-	binary.LittleEndian.PutUint64(hdr[5:13], f.id)
-	bufs := net.Buffers{hdr[:n], f.body}
+	binary.LittleEndian.PutUint64(hdr[5:13], id)
+	bufs := append(make(net.Buffers, 0, 1+len(body)), hdr[:n])
+	bufs = append(bufs, body...)
 	_, err := bufs.WriteTo(w)
 	return err
 }
@@ -234,8 +242,7 @@ func parseHello(body []byte) error {
 // clientHello opens a fresh connection: send the hello (request ID 0) and
 // wait for the server to accept it.
 func clientHello(conn net.Conn) error {
-	hello := frame{msgType: opHello, body: append(helloMagic[:], protoVersion)}
-	if err := writeFrame(conn, hello); err != nil {
+	if err := writeFrame(conn, opHello, 0, telemetry.TraceContext{}, append(helloMagic[:], protoVersion)); err != nil {
 		return fmt.Errorf("cluster: send hello: %w", err)
 	}
 	resp, err := readFrame(conn)
@@ -256,12 +263,15 @@ func clientHello(conn net.Conn) error {
 }
 
 // handlerFunc executes one request and returns the answer's body or an
-// error; serveFrames turns either into the response frame. tc is the
-// request's trace context (zero when unsampled). body is the request
-// frame's own buffer, which the handler may keep but not write into; the
-// answer body is only read, so it may be bytes the handler keeps too. It
-// must be safe for concurrent use: requests are dispatched in parallel.
-type handlerFunc func(tc telemetry.TraceContext, msgType uint8, body []byte) ([]byte, error)
+// error; serveFrames turns either into the response frame. The body is a
+// list of slices sent back to back (see writeFrame): an answer that
+// carries views gathers them from the buffers they already lie in, and
+// every other answer is a list of one. tc is the request's trace context
+// (zero when unsampled). body is the request frame's own buffer, which
+// the handler may keep but not write into; the answer's slices are only
+// read, so they may be bytes the handler keeps too. It must be safe for
+// concurrent use: requests are dispatched in parallel.
+type handlerFunc func(tc telemetry.TraceContext, msgType uint8, body []byte) ([][]byte, error)
 
 // serveFrames drives one accepted connection. The first frame must be a
 // valid opHello, or the connection is closed without running the handler.
@@ -275,10 +285,10 @@ func serveFrames(conn net.Conn, handle handlerFunc) {
 		return
 	}
 	if err := parseHello(hello.body); err != nil {
-		writeFrame(conn, frame{msgType: respError, body: errorBodyFor(err)})
+		writeFrame(conn, respError, 0, telemetry.TraceContext{}, errorBodyFor(err))
 		return
 	}
-	if err := writeFrame(conn, frame{msgType: respHello, body: []byte{protoVersion}}); err != nil {
+	if err := writeFrame(conn, respHello, 0, telemetry.TraceContext{}, []byte{protoVersion}); err != nil {
 		return
 	}
 	var (
@@ -297,14 +307,13 @@ func serveFrames(conn net.Conn, handle handlerFunc) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			resp := frame{msgType: respOK, id: req.id}
-			if body, err := handle(req.tc, req.msgType, req.body); err != nil {
-				resp.msgType, resp.body = respError, errorBodyFor(err)
-			} else {
-				resp.body = body
+			body, err := handle(req.tc, req.msgType, req.body)
+			msgType := respOK
+			if err != nil {
+				msgType, body = respError, [][]byte{errorBodyFor(err)}
 			}
 			wmu.Lock()
-			err := writeFrame(conn, resp)
+			err = writeFrame(conn, msgType, req.id, telemetry.TraceContext{}, body...)
 			wmu.Unlock()
 			if err != nil {
 				conn.Close() // unblocks the read loop
@@ -349,18 +358,17 @@ func decodeReadRequest(body []byte) ([]uint32, error) {
 
 // encodeReadResponse builds an opRead answer: uint32(count) | count × view
 // | uint64(epoch), the broker's membership epoch (see appendEpochTrailer).
-// The body is sized once: it carries a whole feed's views, and growing it
-// view by view would copy the answer again at every growth.
-func encodeReadResponse(views []View, epoch uint64) []byte {
-	size := 4 + 8
-	for _, v := range views {
-		size += viewLen(v)
+// wires holds each view's wire form, gathered as it is: views a cache
+// server answered with are slices of its answer frame, so the broker
+// sends their bytes on without copying them.
+func encodeReadResponse(wires [][]byte, epoch uint64) [][]byte {
+	// The count and the trailer share one buffer.
+	head := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+8), uint32(len(wires)))
+	out := append(make([][]byte, 0, len(wires)+2), head)
+	for _, w := range wires {
+		out = appendViewWire(out, w)
 	}
-	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(views)))
-	for _, v := range views {
-		out = encodeView(out, v)
-	}
-	return appendEpochTrailer(out, epoch)
+	return append(out, appendEpochTrailer(head[4:4], epoch))
 }
 
 // decodeReadResponse parses an opRead answer: the views and the broker's
@@ -380,7 +388,8 @@ func decodeReadResponse(body []byte) ([]View, uint64, error) {
 	for i := int64(0); i < count64; i++ {
 		var v View
 		var err error
-		v, rest, err = decodeView(rest)
+		// The pair of the appendViewWire the answer was gathered with.
+		v, _, rest, err = decodeViewWire(rest)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -469,16 +478,18 @@ func decodeView(b []byte) (View, []byte, error) {
 }
 
 // appendViewWire appends a view already in its wire form — a cache
-// server's cached bytes, which passed decodeViewWire when they were put —
-// to buf as it is.
-func appendViewWire(buf, wire []byte) []byte {
-	return append(buf, wire...)
+// server's cached bytes, which passed decodeViewWire when they were put,
+// or a slice of a frame that did — to a gathered answer as one more
+// slice. The bytes are not copied: writeFrame sends them from where they
+// lie.
+func appendViewWire(out [][]byte, wire []byte) [][]byte {
+	return append(out, wire)
 }
 
 // decodeViewWire parses a view as decodeView does and also returns its
 // wire form: the slice of b the view was parsed from, capped at its end.
 //
-//dynalint:allow codecpair appendViewWire copies bytes that passed this decoder when they were put, so its fingerprint lacks the CALL(View) this decoder makes
+//dynalint:allow codecpair appendViewWire gathers bytes that passed this decoder when they were put, so its fingerprint lacks the CALL(View) this decoder makes
 func decodeViewWire(b []byte) (v View, wire, rest []byte, err error) {
 	v, rest, err = decodeView(b)
 	if err != nil {
@@ -486,6 +497,63 @@ func decodeViewWire(b []byte) (v View, wire, rest []byte, err error) {
 	}
 	end := len(b) - len(rest)
 	return v, b[:end:end], rest, nil
+}
+
+// encodeGetViews builds the answer to an opGetView of n users: uint32(n)
+// | n × uint32(len) | the n views' wire forms back to back, where view(i)
+// is the i-th user's cached view and an empty one (len 0) a miss — an
+// encoded view is never empty. Only the count and the lengths are
+// written; each view is gathered from the buffer the cache server keeps
+// it in, so an answer costs its header and its list of slices whatever
+// n is.
+func encodeGetViews(n int, view func(i int) []byte) [][]byte {
+	head := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+4*n), uint32(n))
+	out := append(make([][]byte, 0, 1+n), nil)
+	for i := 0; i < n; i++ {
+		w := view(i)
+		head = binary.LittleEndian.AppendUint32(head, uint32(len(w)))
+		if len(w) > 0 {
+			out = appendViewWire(out, w)
+		}
+	}
+	out[0] = head
+	return out
+}
+
+// decodeGetViews parses an opGetView answer into each user's view and
+// its wire form, a slice of b (a zero View and a nil wire for a miss).
+// The count is checked against the bytes present before anything is
+// allocated, and each length before the view it names is sliced or
+// decoded; each view must fill its length exactly, and nothing may
+// follow the last one.
+func decodeGetViews(b []byte) ([]View, [][]byte, error) {
+	if len(b) < 4 {
+		return nil, nil, ErrBadFrame
+	}
+	n := int64(binary.LittleEndian.Uint32(b[0:4]))
+	if n > int64(len(b)-4)/4 {
+		return nil, nil, ErrBadFrame
+	}
+	lens, rest := b[4:4+4*n], b[4+4*n:]
+	views, wires := make([]View, n), make([][]byte, n)
+	for i := range views {
+		l := int64(binary.LittleEndian.Uint32(lens[4*i:]))
+		if l > int64(len(rest)) {
+			return nil, nil, ErrBadFrame
+		}
+		if l == 0 {
+			continue
+		}
+		v, wire, tail, err := decodeViewWire(rest[:l])
+		if err != nil || len(tail) != 0 {
+			return nil, nil, ErrBadFrame
+		}
+		views[i], wires[i], rest = v, wire, rest[l:]
+	}
+	if len(rest) != 0 {
+		return nil, nil, ErrBadFrame
+	}
+	return views, wires, nil
 }
 
 // mergeViews returns the union by sequence number of two copies of one
@@ -1073,30 +1141,34 @@ type directAnswer struct {
 // encodeDirectAnswers builds an opDirectGet answer: uint16(n) | n ×
 // { uint8(status) | view (respView) or stale-route tokens
 // (respStaleRoute) or nothing (respNotHere) } | uint64(epoch) — the
-// answering server's membership epoch.
-func encodeDirectAnswers(answers []directAnswer, epoch uint64) []byte {
-	// Size the body exactly: it carries a whole feed's views, and growing
-	// it view by view would allocate about twice its size.
-	size := 2 + len(answers) + 8
+// answering server's membership epoch. The views are gathered from the
+// cache server's buffers; every other byte goes into one buffer, sliced
+// around them.
+func encodeDirectAnswers(answers []directAnswer, epoch uint64) [][]byte {
+	// Size that buffer exactly: the slices taken of it below must not
+	// move when it grows.
+	size, views := 2+len(answers)+8, 0
 	for _, a := range answers {
 		switch a.status {
 		case respView:
-			size += len(a.wire)
+			views++
 		case respStaleRoute:
 			size += staleRouteLen
 		}
 	}
 	buf := binary.LittleEndian.AppendUint16(make([]byte, 0, size), uint16(len(answers)))
+	out, from := make([][]byte, 0, 2*views+1), 0
 	for _, a := range answers {
 		buf = append(buf, a.status)
 		switch a.status {
 		case respView:
-			buf = appendViewWire(buf, a.wire)
+			out = appendViewWire(append(out, buf[from:]), a.wire)
+			from = len(buf)
 		case respStaleRoute:
 			buf = appendStaleRoute(buf, a.epoch, a.placement)
 		}
 	}
-	return appendEpochTrailer(buf, epoch)
+	return append(out, appendEpochTrailer(buf, epoch)[from:])
 }
 
 // decodeDirectAnswers parses an opDirectGet answer. The count is checked

@@ -22,13 +22,31 @@ import (
 
 // --- frame-level edge cases ---
 
+// joined is a gathered answer as the bytes it puts on the wire.
+func joined(parts [][]byte) []byte { return bytes.Join(parts, nil) }
+
+// wiresOf encodes each view into a buffer of its own, as a broker does
+// for a view it built.
+func wiresOf(views ...View) [][]byte {
+	wires := make([][]byte, len(views))
+	for i, v := range views {
+		wires[i] = encodeView(nil, v)
+	}
+	return wires
+}
+
+// sendFrame writes f with writeFrame, its body as one slice.
+func sendFrame(w io.Writer, f frame) error {
+	return writeFrame(w, f.msgType, f.id, f.tc, f.body)
+}
+
 // sampledTC is a trace context that makes writeFrame set traceFlag.
 var sampledTC = telemetry.TraceContext{TraceID: 0xA1B2C3D4E5F60718, SpanID: 0x1122334455667788, Flags: telemetry.FlagSampled}
 
 func TestReadFrameTruncated(t *testing.T) {
 	for _, tc := range []telemetry.TraceContext{{}, sampledTC} {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, frame{msgType: opRead, id: 3, tc: tc, body: []byte("abcdef")}); err != nil {
+		if err := sendFrame(&buf, frame{msgType: opRead, id: 3, tc: tc, body: []byte("abcdef")}); err != nil {
 			t.Fatal(err)
 		}
 		full := buf.Bytes()
@@ -54,19 +72,19 @@ func TestReadFrameZeroAndOversize(t *testing.T) {
 func TestWriteFrameTooLarge(t *testing.T) {
 	// The length field counts type, request ID, the trace context when
 	// present, and the body; maxFrame bounds all of it.
-	if err := writeFrame(io.Discard, frame{msgType: opWrite, id: 1, body: make([]byte, maxFrame-8)}); !errors.Is(err, ErrFrameTooLarge) {
+	if err := sendFrame(io.Discard, frame{msgType: opWrite, id: 1, body: make([]byte, maxFrame-8)}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if err := writeFrame(io.Discard, frame{msgType: opWrite, id: 1, body: make([]byte, maxFrame-9)}); err != nil {
+	if err := sendFrame(io.Discard, frame{msgType: opWrite, id: 1, body: make([]byte, maxFrame-9)}); err != nil {
 		t.Errorf("largest untraced frame: %v", err)
 	}
 	traced := frame{msgType: opWrite, id: 1, tc: sampledTC, body: make([]byte, maxFrame-9-telemetry.TraceContextLen+1)}
-	if err := writeFrame(io.Discard, traced); !errors.Is(err, ErrFrameTooLarge) {
+	if err := sendFrame(io.Discard, traced); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("traced err = %v, want ErrFrameTooLarge", err)
 	}
 	// Op codes stay below traceFlag; a type byte that would collide with
 	// it is refused rather than sent as a traced frame.
-	if err := writeFrame(io.Discard, frame{msgType: traceFlag | opRead}); !errors.Is(err, ErrBadFrame) {
+	if err := sendFrame(io.Discard, frame{msgType: traceFlag | opRead}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("flagged op code: err = %v, want ErrBadFrame", err)
 	}
 }
@@ -74,7 +92,7 @@ func TestWriteFrameTooLarge(t *testing.T) {
 func TestFrameV2RoundTrip(t *testing.T) {
 	for _, tc := range []telemetry.TraceContext{{}, sampledTC} {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, frame{msgType: respOK, id: 0xDEADBEEFCAFE, tc: tc, body: []byte("payload")}); err != nil {
+		if err := sendFrame(&buf, frame{msgType: respOK, id: 0xDEADBEEFCAFE, tc: tc, body: []byte("payload")}); err != nil {
 			t.Fatal(err)
 		}
 		// An unsampled frame carries no trace bytes at all.
@@ -92,6 +110,23 @@ func TestFrameV2RoundTrip(t *testing.T) {
 		if f.msgType != respOK || f.id != 0xDEADBEEFCAFE || f.tc != tc || string(f.body) != "payload" {
 			t.Errorf("round trip = %+v", f)
 		}
+	}
+}
+
+// TestWriteFrameGathers: a body given as several slices goes out as their
+// concatenation, and the frame limit counts all of them.
+func TestWriteFrameGathers(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, respOK, 9, telemetry.TraceContext{}, []byte("pay"), nil, []byte("lo"), []byte("ad")); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFrame(&buf)
+	if err != nil || f.id != 9 || string(f.body) != "payload" {
+		t.Fatalf("gathered frame read back as %+v, %v; want id 9, body \"payload\"", f, err)
+	}
+	half := make([]byte, (maxFrame-8)/2)
+	if err := writeFrame(io.Discard, opWrite, 1, telemetry.TraceContext{}, half, half); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("gathered oversize frame: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -189,7 +224,7 @@ func rawHello(t *testing.T, addr string, body []byte) frame {
 	}
 	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeFrame(conn, frame{msgType: opHello, body: body}); err != nil {
+	if err := sendFrame(conn, frame{msgType: opHello, body: body}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := readFrame(conn)
@@ -211,7 +246,7 @@ func TestHelloBadMagicRejected(t *testing.T) {
 // the wire.
 func TestHelloWrongVersionRefused(t *testing.T) {
 	b, _, _ := testCluster(t, 1, nil)
-	for _, v := range []byte{4, 5, 6, 7, 9} {
+	for _, v := range []byte{4, 5, 6, 7, 8, 10} {
 		f := rawHello(t, b.Addr(), append(helloMagic[:], v))
 		if f.msgType != respError {
 			t.Fatalf("version %d: respType = %d, want respError", v, f.msgType)
@@ -232,14 +267,14 @@ func TestFirstFrameNotHelloClosesConnection(t *testing.T) {
 	go func() {
 		defer close(done)
 		defer server.Close()
-		serveFrames(server, func(telemetry.TraceContext, uint8, []byte) ([]byte, error) {
+		serveFrames(server, func(telemetry.TraceContext, uint8, []byte) ([][]byte, error) {
 			ran.Store(true)
 			return nil, nil
 		})
 	}()
 	client.SetDeadline(time.Now().Add(5 * time.Second))
 	body := append(binary.LittleEndian.AppendUint32(nil, 1), "x"...)
-	if err := writeFrame(client, frame{msgType: opWrite, id: 1, body: body}); err != nil {
+	if err := sendFrame(client, frame{msgType: opWrite, id: 1, body: body}); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := readFrame(client); err == nil {
@@ -258,7 +293,7 @@ func TestFirstFrameNotHelloClosesConnection(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeFrame(conn, frame{msgType: opWrite, id: 1, body: body}); err != nil {
+	if err := sendFrame(conn, frame{msgType: opWrite, id: 1, body: body}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readFrame(conn); err == nil {
@@ -461,7 +496,7 @@ func TestDecodeReadResponseHostileCount(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	seed := func(fr frame) []byte {
 		var buf bytes.Buffer
-		writeFrame(&buf, fr)
+		sendFrame(&buf, fr)
 		return buf.Bytes()
 	}
 	readBody := []byte{1, 0, 0, 0, 42, 0, 0, 0}
@@ -480,7 +515,7 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if werr := writeFrame(&buf, fr); werr != nil {
+		if werr := sendFrame(&buf, fr); werr != nil {
 			t.Fatalf("re-encode failed: %v", werr)
 		}
 		if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
@@ -802,7 +837,7 @@ func TestLogRecordsRoundTrip(t *testing.T) {
 // malformed for each of these decoders.
 func TestDecodersRejectShortBodies(t *testing.T) {
 	view := membership.Seed([]membership.ServerInfo{{Addr: "a:1"}, {Addr: "b:2"}})
-	readResp := encodeReadResponse([]View{{Version: 1}}, 3)
+	readResp := joined(encodeReadResponse([][]byte{encodeView(nil, View{Version: 1})}, 3))
 	putBody := appendPutMeta(encodeView(nil, viewOf(1)), 2, 5, 64)
 	cases := []struct {
 		name   string
@@ -940,7 +975,7 @@ func TestDirectGetRoundTrip(t *testing.T) {
 		{status: respStaleRoute, epoch: 8, placement: 20},
 		{status: respNotHere},
 	}
-	resp := encodeDirectAnswers(answers, 8)
+	resp := joined(encodeDirectAnswers(answers, 8))
 	back, epoch, err := decodeDirectAnswers(resp)
 	if err != nil || epoch != 8 || len(back) != 3 {
 		t.Fatalf("direct answers round trip = %+v, %d, %v", back, epoch, err)
@@ -972,7 +1007,7 @@ func TestDirectGetRoundTrip(t *testing.T) {
 			t.Errorf("direct get %s: err = %v, want ErrBadFrame", c.name, err)
 		}
 	}
-	unknown := encodeDirectAnswers([]directAnswer{{status: respNotHere}}, 8)
+	unknown := joined(encodeDirectAnswers([]directAnswer{{status: respNotHere}}, 8))
 	unknown[2] = respOK
 	for _, c := range []struct {
 		name string
@@ -1083,17 +1118,96 @@ func FuzzDecodeDirectGet(f *testing.F) {
 	})
 }
 
+// getAnswer is the opGetView answer for wires (nil for a miss), as the
+// bytes it puts on the wire.
+func getAnswer(wires ...[]byte) []byte {
+	return joined(encodeGetViews(len(wires), func(i int) []byte { return wires[i] }))
+}
+
+// TestGetViewsRoundTrip: a get answer carries each user's view or a miss
+// in request order, and the decoder rejects a count or a length the
+// bytes cannot hold, a view that does not fill its length, and bytes
+// after the last view. A hostile count allocates nothing.
+func TestGetViewsRoundTrip(t *testing.T) {
+	body := getAnswer(encodeView(nil, viewOf(1, 2)), nil, encodeView(nil, viewOf(5)))
+	views, wires, err := decodeGetViews(body)
+	if err != nil || len(views) != 3 {
+		t.Fatalf("get answer round trip = %d views, %v", len(views), err)
+	}
+	if wires[0] == nil || views[0].Version != 2 || len(views[0].Events) != 2 {
+		t.Errorf("hit 0 = %+v", views[0])
+	}
+	if wires[1] != nil || views[1].Version != 0 {
+		t.Errorf("miss = %+v, wire %x", views[1], wires[1])
+	}
+	if wires[2] == nil || views[2].Version != 5 || !bytes.Equal(wires[2], encodeView(nil, viewOf(5))) {
+		t.Errorf("hit 2 = %+v, wire %x", views[2], wires[2])
+	}
+	one := encodeView(nil, viewOf(3))
+	withLen := func(l uint32, view []byte) []byte {
+		b := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 1), l)
+		return append(b, view...)
+	}
+	hostile := binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF)
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"short", []byte{1, 0, 0}},
+		{"hostile count", hostile},
+		{"count past the lengths", binary.LittleEndian.AppendUint32(nil, 1)},
+		{"length past the body", withLen(uint32(len(one))+1, one)},
+		{"hostile length", withLen(0xFFFFFFFF, one)},
+		{"view naming more events than its length holds", withLen(uint32(len(one)), append(binary.LittleEndian.AppendUint16(append([]byte(nil), one[:8]...), 2), one[10:]...))},
+		{"bytes inside the length after the view", withLen(uint32(len(one))+1, append(append([]byte(nil), one...), 0))},
+		{"bytes after the last view", append(getAnswer(one), 0)},
+		{"a miss with bytes after it", append(getAnswer(nil), one...)},
+	} {
+		if _, _, err := decodeGetViews(c.body); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: err = %v, want ErrBadFrame", c.name, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { decodeGetViews(hostile) }); allocs != 0 {
+		t.Errorf("hostile count: %.0f allocs before the refusal, want 0", allocs)
+	}
+}
+
+// FuzzDecodeGetViews drives the opGetView answer codec: no input panics,
+// whatever decodes re-encodes to exactly the input, and each view's
+// decoded form re-encodes to the wire bytes it was parsed from.
+func FuzzDecodeGetViews(f *testing.F) {
+	f.Add(getAnswer(encodeView(nil, viewOf(4, 9)), nil, encodeView(nil, viewOf())))
+	f.Add(getAnswer())
+	f.Add([]byte{})
+	f.Add(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
+	f.Add(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 1), 0xFFFFFFFF))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		views, wires, err := decodeGetViews(data)
+		if err != nil {
+			return
+		}
+		if re := getAnswer(wires...); !bytes.Equal(re, data) {
+			t.Fatalf("get answer round trip mismatch: %x != %x", re, data)
+		}
+		for i, w := range wires {
+			if w != nil && !bytes.Equal(encodeView(nil, views[i]), w) {
+				t.Fatalf("view %d re-encodes to %x, parsed from %x", i, encodeView(nil, views[i]), w)
+			}
+		}
+	})
+}
+
 // FuzzDecodeDirectAnswers drives the respDirect body codec: whatever
 // decodes must re-encode to exactly the input, each view's decoded form
 // must re-encode to the wire bytes it was parsed from, and hostile counts
 // must be rejected before allocation.
 func FuzzDecodeDirectAnswers(f *testing.F) {
-	f.Add(encodeDirectAnswers([]directAnswer{
+	f.Add(joined(encodeDirectAnswers([]directAnswer{
 		{status: respView, wire: encodeView(nil, viewOf(4, 9))},
 		{status: respStaleRoute, epoch: 8, placement: 20},
 		{status: respNotHere},
-	}, 8))
-	f.Add(encodeDirectAnswers(nil, 1))
+	}, 8)))
+	f.Add(joined(encodeDirectAnswers(nil, 1)))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, respNotHere})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -1101,7 +1215,7 @@ func FuzzDecodeDirectAnswers(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if re := encodeDirectAnswers(answers, epoch); !bytes.Equal(re, data) {
+		if re := joined(encodeDirectAnswers(answers, epoch)); !bytes.Equal(re, data) {
 			t.Fatalf("direct answers round trip mismatch: %x != %x", re, data)
 		}
 		for i, a := range answers {
@@ -1201,8 +1315,8 @@ func FuzzDecodeReadRequest(f *testing.F) {
 
 // FuzzDecodeReadResponse drives the opRead answer: views, then the epoch.
 func FuzzDecodeReadResponse(f *testing.F) {
-	f.Add(encodeReadResponse([]View{viewOf(1, 2), viewOf(), viewOf(7)}, 3))
-	f.Add(encodeReadResponse(nil, 0))
+	f.Add(joined(encodeReadResponse(wiresOf(viewOf(1, 2), viewOf(), viewOf(7)), 3)))
+	f.Add(joined(encodeReadResponse(nil, 0)))
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -1210,7 +1324,7 @@ func FuzzDecodeReadResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		backViews, backEpoch, err := decodeReadResponse(encodeReadResponse(views, epoch))
+		backViews, backEpoch, err := decodeReadResponse(joined(encodeReadResponse(wiresOf(views...), epoch)))
 		if err != nil || backEpoch != epoch || !reflect.DeepEqual(backViews, views) {
 			t.Fatalf("read response round trip: %d views epoch %d err %v; want %d views epoch %d",
 				len(backViews), backEpoch, err, len(views), epoch)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func standIn(t *testing.T, addr string) *refusals {
 			}
 			r.conns[conn] = true
 			r.mu.Unlock()
-			go serveFrames(conn, func(_ telemetry.TraceContext, msgType uint8, body []byte) ([]byte, error) {
+			go serveFrames(conn, func(_ telemetry.TraceContext, msgType uint8, body []byte) ([][]byte, error) {
 				if msgType == opSyncWrite {
 					r.mu.Lock()
 					r.syncWrites++
@@ -561,7 +562,7 @@ func TestReadRepairReinstallsRestartedReplica(t *testing.T) {
 // copy was out of the set (the leader's creates for other users) stays at
 // its capacity, and the user's replica set is left as it is.
 func TestReadRepairRespectsCapacity(t *testing.T) {
-	b, _, _ := testCluster(t, 2, func(cfg *BrokerConfig) {
+	b, servers, _ := testCluster(t, 2, func(cfg *BrokerConfig) {
 		cfg.ServerCapacity = 1
 		cfg.PolicyEvery = time.Hour
 	})
@@ -587,4 +588,84 @@ func TestReadRepairRespectsCapacity(t *testing.T) {
 	if got := b.ReplicaSet(other); len(got) != 1 || got[0] != 1 {
 		t.Errorf("replica set = %v, want [1]", got)
 	}
+	// The refused probe's copy is taken back off the server, so the
+	// server holds exactly what the broker counts against its capacity.
+	if got := servers[0].NumViews(); got != 1 {
+		t.Errorf("server 0 holds %d views after the refused repair, want the 1 the broker counts", got)
+	}
+}
+
+// TestReadMixesHitMissAndDeadSlot: one Read whose users sit on two cache
+// servers — a hit and a miss on the remote server 0, and a user served
+// by the rack-local server 1, which is dead, with a second replica on
+// server 0. Server 0 gets the hit and the miss in one frame and counts
+// them per user; the miss is filled from the WAL; the dead slot leaves
+// the third user's replica set and the replica on server 0 serves it.
+func TestReadMixesHitMissAndDeadSlot(t *testing.T) {
+	b, servers, _ := testCluster(t, 2, func(cfg *BrokerConfig) {
+		cfg.Placement = rackLocal(1, 2)
+		cfg.PolicyEvery = time.Hour
+	})
+	hit := userHomedOn(t, b, 0)
+	miss := hit + 1
+	for b.HomeOf(miss) != 0 {
+		miss++
+	}
+	dead := userHomedOn(t, b, 1)
+	for _, u := range []uint32{hit, miss, dead} {
+		if _, err := b.Write(u, []byte(fmt.Sprintf("post of %d", u))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body := encodePlacementTable([]placementEntry{{user: dead, order: []int{1, 0}}})
+	if _, err := b.handle(telemetry.TraceContext{}, opPlacementBatch, body); err != nil {
+		t.Fatal(err)
+	}
+	// A write after the placement change puts the view on both replicas.
+	if _, err := b.Write(dead, []byte("second post")); err != nil {
+		t.Fatal(err)
+	}
+	servers[0].drop(miss)
+	servers[1].Close()
+	before, brokerBefore := servers[0].Stats(), b.Stats()
+
+	views, err := b.Read([]uint32{hit, miss, dead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{fmt.Sprintf("post of %d", hit)},
+		{fmt.Sprintf("post of %d", miss)},
+		{fmt.Sprintf("post of %d", dead), "second post"},
+	}
+	for i, v := range views {
+		if got := eventStrings(v); !slices.Equal(got, want[i]) {
+			t.Errorf("view %d = %q, want %q", i, got, want[i])
+		}
+	}
+	if got := b.ReplicaSet(dead); !slices.Equal(got, []int{0}) {
+		t.Errorf("replica set after the dead slot = %v, want [0]", got)
+	}
+	if _, ok := servers[0].lookup(miss); !ok {
+		t.Error("the miss was not filled on server 0")
+	}
+	// Server 0 saw the hit and the miss in one frame, the miss fill's
+	// check of the user's replicas (a miss again), and the fallback get
+	// of the dead slot's user (a hit): two of each, counted per user.
+	after := servers[0].Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 2 || misses != 2 {
+		t.Errorf("server 0 counted %d hits and %d misses, want 2 and 2", hits, misses)
+	}
+	if got := b.Stats().Misses - brokerBefore.Misses; got != 1 {
+		t.Errorf("broker counted %d misses, want 1", got)
+	}
+}
+
+// eventStrings returns a view's events as strings.
+func eventStrings(v View) []string {
+	out := make([]string, len(v.Events))
+	for i, e := range v.Events {
+		out[i] = string(e)
+	}
+	return out
 }

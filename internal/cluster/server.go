@@ -149,27 +149,36 @@ func (s *Server) drop(user uint32) {
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.srv.ln.Addr().String() }
 
-// handle serves one request. A get of a user the server does not hold
-// answers with an empty body: an encoded view is never empty.
-func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) ([]byte, error) {
+// handle serves one request. A get answers with the cached bytes of
+// each user it names, gathered as they lie (see encodeGetViews): serving
+// one copies no view byte, whatever the number of users.
+func (s *Server) handle(tc telemetry.TraceContext, msgType uint8, body []byte) ([][]byte, error) {
 	switch msgType {
 	case opGetView:
-		if len(body) < 4 {
-			return nil, errors.New("short get")
+		// The body is the users' ids, read in place: n × uint32.
+		if len(body) == 0 || len(body)%4 != 0 {
+			return nil, errors.New("bad get")
 		}
 		start := time.Now()
-		user := binary.LittleEndian.Uint32(body[0:4])
 		sp := s.tel.StartSpan(tc, "server.get")
-		v, ok := s.lookup(user)
+		n, hits := len(body)/4, 0
+		answer := encodeGetViews(n, func(i int) []byte {
+			v, ok := s.lookup(binary.LittleEndian.Uint32(body[4*i:]))
+			if ok {
+				hits++
+			}
+			return v.wire
+		})
 		sp.Stage("lookup")
 		sp.End()
-		s.getHist.Observe(time.Since(start))
-		if !ok {
-			s.misses.Add(1)
-			return nil, nil
+		if hits > 0 {
+			s.hits.Add(int64(hits))
 		}
-		s.hits.Add(1)
-		return v.wire, nil
+		if hits < n {
+			s.misses.Add(int64(n - hits))
+		}
+		s.getHist.Observe(time.Since(start))
+		return answer, nil
 	case opPutView:
 		if len(body) < 4 {
 			return nil, errors.New("short put")

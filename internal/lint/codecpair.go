@@ -50,14 +50,26 @@ func codecRole(name string) (role, entity string, ok bool) {
 
 // looksLikeCodec filters codec-named functions down to ones with a
 // byte-slice in their signature, so an incidental "decorate" or
-// "appendServer" helper without wire format involvement is ignored.
+// "appendServer" helper without wire format involvement is ignored. A
+// list of byte slices counts too: a gathered encoder returns its bytes
+// as the slices a writev sends back to back.
 func looksLikeCodec(pass *Pass, fd *ast.FuncDecl) bool {
+	isBytes := func(t types.Type) bool {
+		s, ok := t.(*types.Slice)
+		if !ok {
+			return false
+		}
+		b, ok := s.Elem().(*types.Basic)
+		return ok && b.Kind() == types.Byte
+	}
 	hasByteSlice := func(tuple *types.Tuple) bool {
 		for i := 0; i < tuple.Len(); i++ {
-			if s, ok := tuple.At(i).Type().(*types.Slice); ok {
-				if b, ok := s.Elem().(*types.Basic); ok && b.Kind() == types.Byte {
-					return true
-				}
+			t := tuple.At(i).Type()
+			if s, ok := t.(*types.Slice); ok && isBytes(s.Elem()) {
+				t = s.Elem()
+			}
+			if isBytes(t) {
+				return true
 			}
 		}
 		return false

@@ -4,5 +4,5 @@ import "testing"
 
 func TestCodecPair(t *testing.T) {
 	got := runFixture(t, CodecPair, "codecpair")
-	requireTruePositives(t, got, 2)
+	requireTruePositives(t, got, 3)
 }

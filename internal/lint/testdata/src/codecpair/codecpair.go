@@ -114,3 +114,19 @@ func decodeLabel(b []byte) (uint64, []byte, error) {
 	name, err := base64.StdEncoding.AppendDecode(nil, b[i+1:])
 	return id, name, err
 }
+
+// encodeBatch is a gathered encoder: a count, then the items as they
+// lie, returned as the slices a writev sends back to back. A list of
+// byte slices makes it a codec all the same, so decodeBatch reading the
+// count as 16 bits is caught.
+func encodeBatch(items [][]byte) [][]byte {
+	head := binary.BigEndian.AppendUint32(nil, uint32(len(items)))
+	return append([][]byte{head}, items...)
+}
+
+func decodeBatch(b []byte) (n uint16, items []byte) { // want "codec pair encodeBatch/decodeBatch is asymmetric"
+	if len(b) < 2 {
+		return 0, nil
+	}
+	return binary.BigEndian.Uint16(b[0:2]), b[2:]
+}
